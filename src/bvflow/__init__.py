@@ -17,9 +17,19 @@ flow         ensemble integration, densities, flow maps
 functionals  the discrepancy functional, its decomposition, bounds
 experiments  scenario runner, rate fits, invariant battery
 cli          command line front end (catalog / run / sweep / check / fit)
+
+Submodules load on first access (PEP 562), so importing the package,
+or ``bvflow.cli``, loads no numpy: the CLI caps the thread pools of the
+numerical backends before they start.
 """
 
-from . import catalog, flow, functionals, kernels, torus
+import importlib
 
 __all__ = ["catalog", "flow", "functionals", "kernels", "torus"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .torus import wrap_coords, wrap_half
+from .torus import gauss_legendre, wrap_coords, wrap_half
 
 __all__ = [
     "TAU_SIGMA",
@@ -464,7 +464,7 @@ def strip_s_quadrature(field: PiecewiseField, extra_breakpoints=(), nodes_per_pa
     integrated without boundary error.  Returns (s_nodes, s_weights)
     with the weights summing to 1.
     """
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    gl_x, gl_w = gauss_legendre(nodes_per_panel)
     cuts = sorted({float(b) % 1.0 for b in field.strip_bounds}
                   | {float(b) % 1.0 for b in extra_breakpoints})
     bounds = cuts + [cuts[0] + 1.0]

@@ -597,7 +597,8 @@ class ExactFlowMap:
     ``begin_batch`` caches the time-independent part of the closed forms
     (the tangent of the initial coordinate for B, the piece selection for
     C/D) so the quadrature engines can sweep many times over one point
-    set cheaply.
+    set cheaply.  B's position at the last queried time is memoized inside
+    the batch, so a new batch (or ``end_batch``) drops it.
     """
 
     def __init__(self, fld: PiecewiseField):
@@ -615,7 +616,7 @@ class ExactFlowMap:
                 np.minimum(np.abs(u), np.minimum(np.abs(u - 0.5), np.abs(u - 1.0)))
                 < 1e-14
             )
-            self._batch = (pts, ("B", u, np.tan(np.pi * u), u > 0.5, fixed))
+            self._batch = (pts, ("B", u, np.tan(np.pi * u), u > 0.5, fixed, [None, None]))
         elif fld.id in ("C", "D"):
             piece = fld.piece_index(wrap_coords(pts))
             direction = np.where(
@@ -629,7 +630,6 @@ class ExactFlowMap:
 
     def end_batch(self) -> None:
         self._batch = None
-        self._b_x1t = None
 
     def _batched(self, pts):
         if self._batch is None:
@@ -640,16 +640,13 @@ class ExactFlowMap:
         return data
 
     def _b_position_batched(self, t, data):
-        _, u, tan_u, upper, fixed = data
+        _, u, tan_u, upper, fixed, last = data  # last: [time key, x1(t)]
         key = round(float(t), 14)
-        cached = getattr(self, "_b_x1t", None)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        val = np.arctan(tan_u * np.exp(TWO_PI * t)) / np.pi
-        x1t = np.where(upper, 1.0 + val, val)
-        x1t = np.where(fixed, u, x1t)
-        self._b_x1t = (key, x1t)
-        return x1t
+        if last[0] != key:
+            val = np.arctan(tan_u * np.exp(TWO_PI * t)) / np.pi
+            x1t = np.where(upper, 1.0 + val, val)
+            last[:] = [key, np.where(fixed, u, x1t)]
+        return last[1]
 
     def displacement(self, t: float, pts) -> np.ndarray:
         data = self._batched(pts)
@@ -791,7 +788,8 @@ class DirectFlowMap:
     the requested points, so the only error is the solver's.  Intended
     for x-grid-sized query sets (the L^1 discrepancy and Gronwall
     machinery); the pair-grid functionals use the interpolated map
-    instead.  The last few (time, points) results are memoized.
+    instead.  The last few (time, points) results are memoized, keyed on
+    the time and the points' contents.
     """
 
     def __init__(self, fld: PiecewiseField, cfg: FlowSolverConfig | None = None):
@@ -801,7 +799,7 @@ class DirectFlowMap:
 
     def _solve(self, t: float, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        key = (round(float(t), 12), id(pts), pts.shape[0])
+        key = (round(float(t), 12), pts.shape, pts.tobytes())
         hit = self._cache.get(key)
         if hit is not None:
             return hit

@@ -34,7 +34,17 @@ panels split both at the jump surfaces and at their eps<n, z>-shifted
 copies, so every x-integrand is smooth on every panel and the quadrature
 carries no jump-boundary error.  z-nodes sharing the same shift are
 processed as one block; the cell-centered w-grid makes those groups
-large for every catalog field.
+large for every catalog field.  The x-side flow factors (displacement
+and density of the first flow) are evaluated once per x point set and
+time, and shared by every z block paired with that set.  Gauss-Legendre
+rules come from :func:`bvflow.torus.gauss_legendre`, built once per
+order.
+
+A report row (:func:`discrepancy_report`) is one pair sweep over the
+times {t - dt, t, t + dt}, which yields D, I1 and I2 at t and the
+central difference of D, plus one L^1 grid (the field-adapted
+:func:`bvflow.catalog.volume_quadrature`) evaluated at the same three
+times for the eqfin residual, the I2 limit and C(t).
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ from . import catalog as cat
 from .catalog import PiecewiseField, strip_s_quadrature, strip_points, volume_quadrature
 from .flow import collision_branch_maps
 from .kernels import AnisotropicKernel
-from .torus import torus_distance, wrap_half
+from .torus import gauss_legendre, torus_distance, wrap_half
 
 __all__ = [
     "FunctionalConfig",
@@ -96,9 +106,6 @@ class FunctionalConfig:
 # the (x, z) pair quadrature engine
 # ---------------------------------------------------------------------------
 
-_ALL_WANTS = ("D", "I1", "I2", "I2a", "MASS", "I1_ABS", "I2_ABS")
-
-
 def _z_shift_groups(field: PiecewiseField, z_pts, eps):
     """Group z-node indices by the level shift eps <n, z> (rounded)."""
     n = np.asarray(field.strip_normal, dtype=float)
@@ -141,13 +148,25 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     totals = {t: {k: 0.0 for k in want} for t in times}
 
     if "I2a" in want:
-        gl_t, gl_w = np.polynomial.legendre.leggauss(cfg.n_theta)
+        gl_t, gl_w = gauss_legendre(cfg.n_theta)
         theta_nodes = 0.5 * (gl_t + 1.0)
         theta_wts = 0.5 * gl_w
     else:
         theta_nodes = theta_wts = None
 
-    def accumulate(x_pts, x_wts, z_chunk, zw_chunk):
+    def x_factors(x_pts):
+        """flow_x's displacement and density at x_pts for every time,
+        shared by all z-chunks paired with this x point set."""
+        batch = getattr(flow_x, "begin_batch", None)
+        if batch is not None:
+            batch(x_pts)
+        out = {t: (flow_x.displacement(t, x_pts), flow_x.density(t, x_pts))
+               for t in times}
+        if batch is not None:
+            flow_x.end_batch()
+        return out
+
+    def accumulate(x_pts, x_wts, x_side, z_chunk, zw_chunk):
         """x_pts (P,2) paired against every z in the chunk (Q,2)."""
         p, q = x_pts.shape[0], z_chunk.shape[0]
         y_pts = (x_pts[None, :, :] + eps * z_chunk[:, None, :]).reshape(-1, 2)
@@ -189,11 +208,10 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
         if batch is not None:
             flow_y.begin_batch(y_pts)
         for t in times:
-            dx = flow_x.displacement(t, x_pts)  # (P,2)
+            dx, mu1 = x_side[t]  # (P,2), (P,)
             dy = flow_y.displacement(t, y_pts).reshape(q, p, 2)
             sep = dx[None, :, :] - eps * z_chunk[:, None, :] - dy
             dist = np.linalg.norm(wrap_half(sep), axis=-1)  # (q,P)
-            mu1 = flow_x.density(t, x_pts)  # (P,)
             mu2 = flow_y.density(t, y_pts).reshape(q, p)
             ww = base * mu1[None, :] * mu2
             tot = totals[t]
@@ -218,9 +236,11 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
         axis = (np.arange(cfg.n_x) + 0.5) / cfg.n_x
         x_pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         x_wts = np.full(x_pts.shape[0], 1.0 / cfg.n_x**2)
+        x_side = x_factors(x_pts)
         chunk = max(1, int(2.0e6 // x_pts.shape[0]))
         for lo in range(0, z_pts.shape[0], chunk):
-            accumulate(x_pts, x_wts, z_pts[lo : lo + chunk], z_wts[lo : lo + chunk])
+            accumulate(x_pts, x_wts, x_side, z_pts[lo : lo + chunk],
+                       z_wts[lo : lo + chunk])
     else:
         _, norm, _ = cat.strip_frame(field)
         tau = (np.arange(cfg.n_x) + 0.5) * (norm / cfg.n_x)
@@ -234,10 +254,11 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
             x_wts = np.broadcast_to(
                 s_wts[:, None] / cfg.n_x, (s_nodes.size, cfg.n_x)
             ).reshape(-1)
+            x_side = x_factors(x_pts)
             chunk = max(1, int(2.0e6 // x_pts.shape[0]))
             for lo in range(0, idx.size, chunk):
                 sel = idx[lo : lo + chunk]
-                accumulate(x_pts, x_wts, z_pts[sel], z_wts[sel])
+                accumulate(x_pts, x_wts, x_side, z_pts[sel], z_wts[sel])
     return totals
 
 
@@ -266,6 +287,11 @@ def I2(flow_x, flow_y, field, kernel, cfg: FunctionalConfig, t: float) -> float:
     return pair_integrals(flow_x, flow_y, field, kernel, cfg, t, want=("I2",))["I2"]
 
 
+def _central_difference(vals, t, h, key="D"):
+    """(v(t + h) - v(t - h)) / (2 h) from a {time: {key: value}} table."""
+    return (vals[t + h][key] - vals[t - h][key]) / (2.0 * h)
+
+
 def I_eps_fd(flow_x, flow_y, field, kernel, cfg: FunctionalConfig,
              t: float) -> float:
     """Central difference (D(t+dt) - D(t-dt)) / (2 dt)."""
@@ -273,7 +299,7 @@ def I_eps_fd(flow_x, flow_y, field, kernel, cfg: FunctionalConfig,
         flow_x, flow_y, field, kernel, cfg, [t - cfg.dt_fd, t + cfg.dt_fd],
         want=("D",),
     )
-    return (d[t + cfg.dt_fd]["D"] - d[t - cfg.dt_fd]["D"]) / (2.0 * cfg.dt_fd)
+    return _central_difference(d, t, cfg.dt_fd)
 
 
 def _interp_errors(flow_map, t):
@@ -307,10 +333,8 @@ def decomposition_check(flow_x, flow_y, field, kernel, cfg: FunctionalConfig,
             flow_x, flow_y, field, kernel, c, all_times,
             want=("D", "I1", "I2", "MASS", "I1_ABS", "I2_ABS"),
         )
-        at_t = vals[t]
-        i_fd = (vals[t + dt]["D"] - vals[t - dt]["D"]) / (2 * dt)
-        i_fd2 = (vals[t + 2 * dt]["D"] - vals[t - 2 * dt]["D"]) / (4 * dt)
-        return at_t, i_fd, i_fd2
+        return (vals[t], _central_difference(vals, t, dt),
+                _central_difference(vals, t, 2 * dt))
 
     at_t, i_fd, i_fd2 = fd_and_terms(cfg)
     cfg_half = FunctionalConfig(
@@ -422,7 +446,7 @@ def _singular_z_integral(kernel, x, xi, eta_b, n_z):
 
 def profile_derivative_mass(kernel: AnisotropicKernel, n: int = 400) -> float:
     """K(F0) = int |F0'(|w|^2)| |w|^2 dw  (radial, quadrature in r)."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n)
+    gl_x, gl_w = gauss_legendre(n)
     r = 0.5 * (gl_x + 1.0)
     w = 0.5 * gl_w
     vals = np.abs(kernel.profile.f0_prime(r * r, kernel.dim)) * r**3
@@ -558,50 +582,73 @@ class DiscrepancyReport:
         return ",".join(str(v) for v in vals)
 
 
-def _l1_discrepancy(flow_x, flow_y, field, t, n_x):
-    """(L(t), sup mu1, sup mu2, sup |div|) on the adapted x-grid."""
+def _l1_integrals(flow_x, flow_y, field, times, n_x) -> dict:
+    """The weighted L^1 separation on one adapted x-grid at several times.
+
+    Returns {t: {key: value}} with keys
+
+    L        int |X_t - Y_t| mu1 mu2 dx
+    DIV      int |X_t - Y_t| div b mu1 mu2 dx
+    C        max(sup mu1, sup mu2) over the grid
+    DIV_SUP  sup |div b| over the grid (the same at every time)
+
+    The grid and div b are built once; repeated times are evaluated once.
+    """
     pts, wts = volume_quadrature(field, n_x)
-    px = flow_x.position(t, pts)
-    py = flow_y.position(t, pts)
-    dist = torus_distance(px, py)
-    mu1 = flow_x.density(t, pts)
-    mu2 = flow_y.density(t, pts)
     div = field.divergence_many(pts)
-    l_val = float(np.sum(dist * mu1 * mu2 * wts))
-    div_term = float(np.sum(dist * div * mu1 * mu2 * wts))
-    return l_val, div_term, float(mu1.max()), float(mu2.max()), float(np.abs(div).max())
+    div_sup = float(np.abs(div).max())
+    out = {}
+    for t in dict.fromkeys(float(t) for t in times):
+        dist = torus_distance(flow_x.position(t, pts), flow_y.position(t, pts))
+        mu1 = flow_x.density(t, pts)
+        mu2 = flow_y.density(t, pts)
+        out[t] = {
+            "L": float(np.sum(dist * mu1 * mu2 * wts)),
+            "DIV": float(np.sum(dist * div * mu1 * mu2 * wts)),
+            "C": max(float(mu1.max()), float(mu2.max())),
+            "DIV_SUP": div_sup,
+        }
+    return out
+
+
+def _eqfin(l1, t, dt) -> float:
+    """|d/dt L(t) + DIV(t)| from :func:`_l1_integrals` at t and t +- dt."""
+    return abs(_central_difference(l1, t, dt, "L") + l1[t]["DIV"])
 
 
 def eqfin_residual(flow_x, flow_y, field, t, n_x=128, dt=1e-3) -> float:
     """|d/dt L(t) + int |X-Y| div b mu1 mu2 dx| with L the weighted
     L^1 separation; the derivative is a central difference."""
-    lp = _l1_discrepancy(flow_x, flow_y, field, t + dt, n_x)[0]
-    lm = _l1_discrepancy(flow_x, flow_y, field, t - dt, n_x)[0]
-    div_term = _l1_discrepancy(flow_x, flow_y, field, t, n_x)[1]
-    return abs((lp - lm) / (2 * dt) + div_term)
+    t = float(t)
+    return _eqfin(_l1_integrals(flow_x, flow_y, field, [t - dt, t, t + dt], n_x), t, dt)
 
 
 def discrepancy_report(flow_x, flow_y, field, kernel, cfg: FunctionalConfig,
                        t: float) -> DiscrepancyReport:
-    """Assemble one report row (all functional values at one time)."""
-    parts = pair_integrals(flow_x, flow_y, field, kernel, cfg, t,
-                           want=("D", "I1", "I2"))
-    i_fd = I_eps_fd(flow_x, flow_y, field, kernel, cfg, t)
-    l_val, div_term, s1, s2, _ = _l1_discrepancy(flow_x, flow_y, field, t, cfg.n_x)
-    c_t = max(s1, s2)
-    res = eqfin_residual(flow_x, flow_y, field, t, n_x=cfg.n_x, dt=cfg.dt_fd)
+    """Assemble one report row (all functional values at one time).
+
+    One pair sweep over {t - dt, t, t + dt} gives D, I1 and I2 at t and
+    the central difference of D; one L^1 grid evaluated at the same three
+    times gives the eqfin residual, the I2 limit and the density bound
+    C(t) of the singular majorant.
+    """
+    t, dt = float(t), cfg.dt_fd
+    times = [t - dt, t, t + dt]
+    parts = pair_integrals_multi(flow_x, flow_y, field, kernel, cfg, times,
+                                 want=("D", "I1", "I2"))
+    l1 = _l1_integrals(flow_x, flow_y, field, times, cfg.n_x)
     return DiscrepancyReport(
         field_id=field.id,
         epsilon=cfg.epsilon,
         gamma=kernel.gamma,
         t=t,
-        D=parts["D"],
-        I_eps_fd=i_fd,
-        I1=parts["I1"],
-        I2=parts["I2"],
-        I2_a_limit=div_term,
-        singular_bound=singular_bound(field, kernel, c_t=c_t),
-        eqfin_residual=res,
+        D=parts[t]["D"],
+        I_eps_fd=_central_difference(parts, t, dt),
+        I1=parts[t]["I1"],
+        I2=parts[t]["I2"],
+        I2_a_limit=l1[t]["DIV"],
+        singular_bound=singular_bound(field, kernel, c_t=l1[t]["C"]),
+        eqfin_residual=_eqfin(l1, t, dt),
         n_x=cfg.n_x,
         n_z=cfg.n_z,
     )
@@ -658,14 +705,16 @@ def uniqueness_report(field, flow_x, flow_y, kernel, cfg: FunctionalConfig,
     residuals = np.empty(n_times)
     c_meas = 0.0
     div_sup = 0.0
+    dt = cfg.dt_fd
     for k, t in enumerate(times):
-        l_val, _, s1, s2, dsup = _l1_discrepancy(flow_x, flow_y, field, t, cfg.n_x)
-        l_values[k] = l_val
-        c_meas = max(c_meas, s1, s2)
-        div_sup = max(div_sup, dsup)
-        t_fd = max(t, cfg.dt_fd)  # one-sided shift at t = 0
-        residuals[k] = eqfin_residual(flow_x, flow_y, field, t_fd,
-                                      n_x=cfg.n_x, dt=cfg.dt_fd)
+        t = float(t)
+        t_fd = max(t, dt)  # one-sided shift at t = 0
+        l1 = _l1_integrals(flow_x, flow_y, field, [t, t_fd - dt, t_fd, t_fd + dt],
+                           cfg.n_x)
+        l_values[k] = l1[t]["L"]
+        c_meas = max(c_meas, l1[t]["C"])
+        div_sup = max(div_sup, l1[t]["DIV_SUP"])
+        residuals[k] = _eqfin(l1, t_fd, dt)
     accumulated = float(np.trapezoid(residuals, times))
     gronwall_rhs = float(np.exp(div_sup * T) * (l_values[0] + accumulated))
     final = float(l_values[-1])

@@ -36,6 +36,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .catalog import PiecewiseField
+from .torus import gauss_legendre
 
 __all__ = [
     "BumpProfile",
@@ -320,11 +321,11 @@ class AnisotropicKernel:
             axis = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
             wts1 = np.full(n, 2.0 / n)
         elif rule == "gauss":
-            axis, wts1 = np.polynomial.legendre.leggauss(n)
+            axis, wts1 = gauss_legendre(n)
         elif rule == "polar":
             if self.dim != 2:
                 raise ValueError("polar rule is two-dimensional")
-            gl_x, gl_w = np.polynomial.legendre.leggauss(n)
+            gl_x, gl_w = gauss_legendre(n)
             r = 0.5 * (gl_x + 1.0)
             rw = 0.5 * gl_w * r  # radial Jacobian
             m = 2 * n

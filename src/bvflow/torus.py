@@ -15,6 +15,7 @@ caller parallelizes the surrounding work.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "min_image_coords",
     "torus_distance",
     "integrate",
+    "gauss_legendre",
 ]
 
 
@@ -229,3 +231,16 @@ def integrate(f, grid: QuadratureGrid) -> float:
         idx = int(np.argmax(nan_mask))
         raise QuadratureError(idx, grid.nodes[idx])
     return float(np.sum(values) * grid.weight)
+
+
+@functools.lru_cache(maxsize=64)
+def gauss_legendre(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1]: (nodes, weights).
+
+    Built once per order and shared, so both arrays are read-only;
+    callers derive scaled copies from them.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights

@@ -171,6 +171,24 @@ def test_rfl_threads_env_accepted(tmp_path):
     assert res.returncode == 0
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads through /proc/self/task")
+def test_threads_flag_caps_blas_pools():
+    # the flag must take effect before numpy loads, so no variable is preset
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS") and k != "RFL_THREADS"}
+    code = (
+        "import os\n"
+        "from bvflow import cli\n"
+        "assert cli.main(['--threads', '1', 'catalog']) == 0\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().splitlines()[-1] == "1"
+
+
 def test_check_battery_passes():
     results = exp.run_checks(fast=True)
     failed = [r.name for r in results if not r.passed]

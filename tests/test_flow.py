@@ -403,6 +403,29 @@ def test_exact_map_batch_consistency():
     assert np.allclose(plain, batched, atol=1e-15)
 
 
+def test_exact_map_new_batch_drops_memo():
+    fm = ExactFlowMap(get_field("B"))
+    p1, p2 = np.random.default_rng(8).random((2, 40, 2))
+    fm.begin_batch(p1)
+    fm.displacement(0.3, p1)
+    fm.begin_batch(p2)
+    exact, _ = flow._exact_displacement(fm.field, p2, 0.3)
+    assert np.array_equal(fm.displacement(0.3, p2), exact)
+
+
+def test_direct_flow_map_never_returns_another_arrays_result():
+    # fresh arrays may reuse a freed array's address; the memo must not care
+    fld = get_field("B")
+    fm = DirectFlowMap(fld, FlowSolverConfig(step=1e-2))
+    stale = 0
+    for i in range(50):
+        pts = np.random.default_rng(i).random((64, 2))
+        exact, _ = flow._exact_displacement(fld, pts, 0.3)
+        err = np.max(np.abs(fm.displacement(0.3, pts) - exact))
+        stale += int(err > 1e-6)
+    assert stale == 0
+
+
 def test_export_csv(tmp_path):
     pts = np.array([[0.25, 0.0], [0.6, 0.4]])
     ens = integrate_flow(get_field("C"), EXACT, pts, [0.0, 0.5])

@@ -410,3 +410,37 @@ def test_discrepancy_report_row():
     assert abs(row.I_eps_fd - (row.I1 + row.I2)) < 1e-4
     text = row.csv_row()
     assert len(text.split(",")) == len(fn.DiscrepancyReport.CSV_COLUMNS)
+
+
+@pytest.mark.parametrize("fid,eta", [("C", (1.0, 0.0)), ("D", (2.0, 1.0)), ("B", (1.0, 0.0))])
+@pytest.mark.parametrize("gamma", [0.0, 3.0])
+def test_discrepancy_report_row_equals_separate_routes(fid, eta, gamma):
+    # the fused row (one pair sweep, one L^1 grid) must reproduce every
+    # value of the separate public routes bit for bit.  The maps are built
+    # as run_scenario builds them; on B (divergence and density not
+    # trivial) the first is interpolated, so I2_a_limit and eqfin_residual
+    # are not zero.
+    fld = get_field(fid)
+    fx = flow.make_flow_map(fld, "rk4_event", FlowSolverConfig(), grid_n=64)
+    fy = ExactFlowMap(fld)
+    kern = AnisotropicKernel(poly_bump, DirectionField.constant(eta), gamma)
+    cfg = fn.FunctionalConfig(epsilon=0.05, n_x=16, n_z=16)
+    t = 0.3
+    row = fn.discrepancy_report(fx, fy, fld, kern, cfg, t)
+
+    parts = fn.pair_integrals(fx, fy, fld, kern, cfg, t, want=("D", "I1", "I2"))
+    pts, wts = volume_quadrature(fld, cfg.n_x)
+    mu1, mu2 = fx.density(t, pts), fy.density(t, pts)
+    dist = torus_distance(fx.position(t, pts), fy.position(t, pts))
+    div_term = float(np.sum(dist * fld.divergence_many(pts) * mu1 * mu2 * wts))
+    c_t = max(float(mu1.max()), float(mu2.max()))
+    assert row.D == parts["D"]
+    assert row.I1 == parts["I1"]
+    assert row.I2 == parts["I2"]
+    assert row.I_eps_fd == fn.I_eps_fd(fx, fy, fld, kern, cfg, t)
+    assert row.I2_a_limit == div_term
+    assert row.eqfin_residual == fn.eqfin_residual(fx, fy, fld, t, n_x=cfg.n_x,
+                                                   dt=cfg.dt_fd)
+    assert row.singular_bound == fn.singular_bound(fld, kern, c_t=c_t)
+    assert (row.field_id, row.epsilon, row.gamma, row.t, row.n_x, row.n_z) == (
+        fid, cfg.epsilon, gamma, t, cfg.n_x, cfg.n_z)

@@ -8,6 +8,7 @@ from bvflow.torus import (
     QuadratureGrid,
     QuadratureError,
     TorusPoint,
+    gauss_legendre,
     integrate,
     min_image,
     min_image_coords,
@@ -153,3 +154,14 @@ def test_torus_distance_wraps():
     a = np.array([[0.05, 0.5]])
     b = np.array([[0.95, 0.5]])
     assert torus_distance(a, b)[0] == pytest.approx(0.1, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 8, 128])
+def test_gauss_legendre_matches_numpy_and_is_read_only(n):
+    nodes, weights = gauss_legendre(n)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+    assert gauss_legendre(n)[0] is nodes  # built once per order
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
