@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .torus import gauss_legendre, wrap_coords, wrap_half
+from .torus import QuadratureGrid, gauss_legendre, wrap_coords, wrap_half
 
 __all__ = [
     "TAU_SIGMA",
@@ -502,8 +502,7 @@ def volume_quadrature(field: PiecewiseField, n: int, nodes_per_panel: int = 24,
     no jump-boundary error.
     """
     if field.strip_normal is None:
-        axis = (np.arange(n) + 0.5) / n
-        pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        pts = QuadratureGrid.torus(n).nodes
         return pts, np.full(pts.shape[0], 1.0 / n**2)
     _, norm, _ = strip_frame(field)
     s_nodes, s_wts = strip_s_quadrature(field, extra_breakpoints, nodes_per_panel)

@@ -556,8 +556,7 @@ def run_checks(fast: bool = True):
     results.append(
         _check("flow.backward_forward", rev < 1e-7, f"max return error {rev:.2e}")
     )
-    axis = (np.arange(96) + 0.5) / 96
-    grid96 = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    grid96 = QuadratureGrid.torus(96).nodes
     fld_b = cat.get_field("B")
     axis256 = (np.arange(256) + 0.5) / 256
     grid_b = np.stack(

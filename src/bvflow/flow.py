@@ -25,6 +25,15 @@ X(-t, .)_# lambda (the mu of the discrepancy machinery), evaluated at
 the trajectory's own starting point, so sampling exp(log J) on a uniform
 initial grid gives the density field with no scattered-data step.
 
+The functionals evaluate flows at arbitrary points through one
+protocol, :class:`FlowMap`: a subclass supplies ``displacement(t, pts)``
+and ``log_jacobian(t, pts)``, and the base class derives ``position``
+and ``density`` and supplies no-op ``prepare`` / ``begin_batch`` /
+``end_batch`` hooks and a zero ``interpolation_error``.  Three maps
+implement it: :class:`ExactFlowMap` (the closed forms),
+:class:`InterpolatedFlowMap` (RK4 on a grid plus splines) and
+:class:`DirectFlowMap` (RK4 on the query points).
+
 Trajectories are independent and all operations are vectorized numpy
 with fixed reduction order, so results are reproducible bit-for-bit.
 """
@@ -32,6 +41,7 @@ with fixed reduction order, so results are reproducible bit-for-bit.
 from __future__ import annotations
 
 import logging
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +49,7 @@ from scipy import ndimage
 
 from . import catalog
 from .catalog import PiecewiseField, get_field
-from .torus import torus_distance, wrap_coords, wrap_half
+from .torus import QuadratureGrid, torus_distance, wrap_coords, wrap_half
 
 __all__ = [
     "FlowSolverConfig",
@@ -54,6 +64,7 @@ __all__ = [
     "check_ode_residual",
     "export_csv",
     "collision_branch_maps",
+    "FlowMap",
     "ExactFlowMap",
     "InterpolatedFlowMap",
     "DirectFlowMap",
@@ -212,27 +223,80 @@ def _nudge_initial_points(fld: PiecewiseField, y):
 # ---------------------------------------------------------------------------
 
 
-def _exact_b_position(x1, t):
+def _exact_prep(fld: PiecewiseField, pts):
+    """The time-independent part of a closed-form flow at ``pts`` (M, 2).
+
+    B: (u, tan(pi u), u > 1/2, fixed-point mask) with u = x1 mod 1;
+    C/D: each point's piece velocity; E: (left-of-interface mask,
+    distance to the interface).  :func:`_exact_disp` and
+    :func:`_exact_logj` evaluate the flow from it at any time.
+    """
+    if fld.id == "B":
+        u = np.mod(pts[:, 0], 1.0)
+        # exact fixed points stay put (tan is finite garbage at 0.5 + eps scale)
+        fixed = np.minimum(np.abs(u), np.minimum(np.abs(u - 0.5), np.abs(u - 1.0))) < 1e-14
+        return u, np.tan(np.pi * u), u > 0.5, fixed
+    if fld.id in ("C", "D"):
+        piece = fld.piece_index(wrap_coords(pts))
+        return np.where(
+            piece[:, None] == 0,
+            np.asarray(fld.pieces[0].b(np.zeros((1, 2))))[0],
+            np.asarray(fld.pieces[1].b(np.zeros((1, 2))))[0],
+        )
+    if fld.id == "E":
+        s = np.mod(pts[:, 0], 1.0)
+        left = s < 0.5
+        return left, np.where(left, 0.5 - s, s - 0.5)
+    if fld.id == "A":
+        raise ValueError("field A has no closed-form flow; use rk4_event")
+    raise ValueError(f"no exact flow for field {fld.id!r}")
+
+
+def _exact_b_x1(prep, t):
     """First coordinate of field B's flow; x2 is untouched.
 
     tan(pi x(t)) = tan(pi x(0)) exp(2 pi t) separately on (0, 1/2) and
     (1/2, 1); 0 and 1/2 are fixed points.
     """
-    u = np.mod(np.asarray(x1, dtype=float), 1.0)
-    upper = u > 0.5
-    val = np.arctan(np.tan(np.pi * u) * np.exp(TWO_PI * t)) / np.pi
-    out = np.where(upper, 1.0 + val, val)
-    # exact fixed points stay put (tan is finite garbage at 0.5 + eps scale)
-    fixed = np.minimum(np.abs(u), np.minimum(np.abs(u - 0.5), np.abs(u - 1.0))) < 1e-14
-    return np.where(fixed, u, out)
+    u, tan_u, upper, fixed = prep
+    val = np.arctan(tan_u * np.exp(TWO_PI * t)) / np.pi
+    return np.where(fixed, u, np.where(upper, 1.0 + val, val))
 
 
-def _exact_b_logj(x1, x1_t, t):
-    """log J for field B: J = sin(2 pi x(t)) / sin(2 pi x(0)) off the fixed
-    points, exp(+-2 pi t) at them."""
-    u = np.mod(np.asarray(x1, dtype=float), 1.0)
+def _exact_e_forward(pts, t):
+    if t < 0:
+        raise NonTransversalCrossingError(
+            "E", wrap_coords(pts[0]), "backward trajectories converge into the jump set"
+        )
+
+
+def _exact_disp(fld: PiecewiseField, prep, pts, t: float):
+    """Unwrapped displacement X(t, x) - x of a closed-form flow."""
+    if fld.id in ("C", "D"):
+        return t * prep
+    disp = np.zeros_like(pts)
+    if fld.id == "B":
+        # unwrapped: trajectories never leave their half-interval
+        disp[:, 0] = _exact_b_x1(prep, t) - prep[0]
+    else:
+        _exact_e_forward(pts, t)
+        left, hit = prep
+        move = np.minimum(t, hit)
+        disp[:, 0] = np.where(left, move, -move)
+    return disp
+
+
+def _exact_logj(fld: PiecewiseField, prep, pts, t: float):
+    """log J of a closed-form flow.  For B, J = sin(2 pi x(t)) / sin(2 pi
+    x(0)) off the fixed points and exp(+-2 pi t) at them; the strip flows
+    are measure preserving."""
+    if fld.id != "B":
+        if fld.id == "E":
+            _exact_e_forward(pts, t)
+        return np.zeros(pts.shape[0])
+    u = prep[0]
     s0 = np.sin(TWO_PI * u)
-    st = np.sin(TWO_PI * np.asarray(x1_t, dtype=float))
+    st = np.sin(TWO_PI * _exact_b_x1(prep, t))
     near_fixed = np.abs(s0) < 1e-9
     safe_s0 = np.where(near_fixed, 1.0, s0)
     safe_st = np.where(near_fixed, 1.0, st)
@@ -244,38 +308,8 @@ def _exact_b_logj(x1, x1_t, t):
 def _exact_displacement(fld: PiecewiseField, pts, t: float):
     """Unwrapped displacement X(t, x) - x and log J for the exact flows."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    m = pts.shape[0]
-    disp = np.zeros_like(pts)
-    logj = np.zeros(m)
-    if fld.id == "B":
-        x1t = _exact_b_position(pts[:, 0], t)
-        # unwrapped: trajectories never leave their half-interval
-        disp[:, 0] = x1t - np.mod(pts[:, 0], 1.0)
-        logj = _exact_b_logj(pts[:, 0], x1t, t)
-    elif fld.id in ("C", "D"):
-        piece = fld.piece_index(wrap_coords(pts))
-        direction = np.where(
-            piece[:, None] == 0,
-            np.asarray(fld.pieces[0].b(np.zeros((1, 2))))[0],
-            np.asarray(fld.pieces[1].b(np.zeros((1, 2))))[0],
-        )
-        disp = t * direction
-    elif fld.id == "E":
-        if t < 0:
-            bad = wrap_coords(pts[0])
-            raise NonTransversalCrossingError(
-                "E", bad, "backward trajectories converge into the jump set"
-            )
-        s = np.mod(pts[:, 0], 1.0)
-        left = s < 0.5
-        hit = np.where(left, 0.5 - s, s - 0.5)
-        move = np.minimum(t, hit)
-        disp[:, 0] = np.where(left, move, -move)
-    elif fld.id == "A":
-        raise ValueError("field A has no closed-form flow; use rk4_event")
-    else:
-        raise ValueError(f"no exact flow for field {fld.id!r}")
-    return disp, logj
+    prep = _exact_prep(fld, pts)
+    return _exact_disp(fld, prep, pts, t), _exact_logj(fld, prep, pts, t)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +531,7 @@ def pushforward_histogram(ensemble: FlowEnsemble, t: float, bins: int) -> Densit
     flat = ij[:, 0] * bins + ij[:, 1]
     counts = np.bincount(flat, minlength=bins * bins).astype(float)
     density = counts * (bins * bins) / pos.shape[0]
-    axis = (np.arange(bins) + 0.5) / bins
-    centers = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    centers = QuadratureGrid.torus(bins).nodes
     return DensityField(time=t, points=centers, values=density, bins=bins)
 
 
@@ -591,14 +624,56 @@ def collision_branch_maps(points, t: float):
 # ---------------------------------------------------------------------------
 
 
-class ExactFlowMap:
+class FlowMap(ABC):
+    """The flow-map protocol the functionals consume.
+
+    A subclass implements ``displacement`` (the unwrapped X(t, x) - x)
+    and ``log_jacobian``; ``position`` and ``density`` follow from them.
+    The functionals also call three hooks, no-ops here: ``prepare``
+    announces the times about to be queried, and ``begin_batch`` /
+    ``end_batch`` bracket many queries on one point set.  A map with an
+    approximation error reports it through ``interpolation_error``.
+    """
+
+    @abstractmethod
+    def displacement(self, t: float, pts) -> np.ndarray:
+        """X(t, x) - x at the query points, unwrapped, shape (M, 2)."""
+
+    @abstractmethod
+    def log_jacobian(self, t: float, pts) -> np.ndarray:
+        """log J(t, x) = int_0^t div^a b(X(s, x)) ds, shape (M,)."""
+
+    def position(self, t: float, pts) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return wrap_coords(pts + self.displacement(t, pts))
+
+    def density(self, t: float, pts) -> np.ndarray:
+        """mu(t, .) = exp(log J(t, .)) at the query points."""
+        return np.exp(self.log_jacobian(t, pts))
+
+    def prepare(self, times) -> None:
+        pass
+
+    def begin_batch(self, pts) -> None:
+        pass
+
+    def end_batch(self) -> None:
+        pass
+
+    def interpolation_error(self, t: float):
+        """(max position error, max log J error) of the map at time t."""
+        return 0.0, 0.0
+
+
+class ExactFlowMap(FlowMap):
     """Closed-form flow map; supports fields B, C, D and E (forward).
 
-    ``begin_batch`` caches the time-independent part of the closed forms
-    (the tangent of the initial coordinate for B, the piece selection for
-    C/D) so the quadrature engines can sweep many times over one point
-    set cheaply.  B's position at the last queried time is memoized inside
-    the batch, so a new batch (or ``end_batch``) drops it.
+    ``begin_batch`` computes the time-independent part of the closed form
+    (:func:`_exact_prep`) once, so the quadrature engines can sweep many
+    times over one point set cheaply.  Queries reuse it when they pass
+    that very array; the identity check is safe because the batch holds a
+    reference to the array, so its id cannot be reused while the batch is
+    open.
     """
 
     def __init__(self, fld: PiecewiseField):
@@ -609,82 +684,34 @@ class ExactFlowMap:
 
     def begin_batch(self, pts) -> None:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        fld = self.field
-        if fld.id == "B":
-            u = np.mod(pts[:, 0], 1.0)
-            fixed = (
-                np.minimum(np.abs(u), np.minimum(np.abs(u - 0.5), np.abs(u - 1.0)))
-                < 1e-14
-            )
-            self._batch = (pts, ("B", u, np.tan(np.pi * u), u > 0.5, fixed, [None, None]))
-        elif fld.id in ("C", "D"):
-            piece = fld.piece_index(wrap_coords(pts))
-            direction = np.where(
-                piece[:, None] == 0,
-                np.asarray(fld.pieces[0].b(np.zeros((1, 2))))[0],
-                np.asarray(fld.pieces[1].b(np.zeros((1, 2))))[0],
-            )
-            self._batch = (pts, ("S", direction))
-        else:
-            self._batch = None
+        self._batch = (pts, _exact_prep(self.field, pts))
 
     def end_batch(self) -> None:
         self._batch = None
 
-    def _batched(self, pts):
-        if self._batch is None:
-            return None
-        cached_pts, data = self._batch
-        if cached_pts.shape != np.shape(pts) or cached_pts is not pts:
-            return None
-        return data
-
-    def _b_position_batched(self, t, data):
-        _, u, tan_u, upper, fixed, last = data  # last: [time key, x1(t)]
-        key = round(float(t), 14)
-        if last[0] != key:
-            val = np.arctan(tan_u * np.exp(TWO_PI * t)) / np.pi
-            x1t = np.where(upper, 1.0 + val, val)
-            last[:] = [key, np.where(fixed, u, x1t)]
-        return last[1]
+    def _prep(self, pts):
+        """(pts as an (M, 2) float array, its :func:`_exact_prep`)."""
+        if self._batch is not None and self._batch[0] is pts:
+            return self._batch
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return pts, _exact_prep(self.field, pts)
 
     def displacement(self, t: float, pts) -> np.ndarray:
-        data = self._batched(pts)
-        if data is None:
-            disp, _ = _exact_displacement(self.field, pts, t)
-            return disp
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        disp = np.zeros_like(pts)
-        if data[0] == "B":
-            disp[:, 0] = self._b_position_batched(t, data) - data[1]
-        else:
-            disp = t * data[1]
-        return disp
-
-    def position(self, t: float, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return wrap_coords(pts + self.displacement(t, pts))
+        pts, prep = self._prep(pts)
+        return _exact_disp(self.field, prep, pts, t)
 
     def log_jacobian(self, t: float, pts) -> np.ndarray:
-        data = self._batched(pts)
-        if data is not None and data[0] == "B":
-            return _exact_b_logj(data[1], self._b_position_batched(t, data), t)
-        _, logj = _exact_displacement(self.field, pts, t)
-        return logj
+        pts, prep = self._prep(pts)
+        return _exact_logj(self.field, prep, pts, t)
 
     def density(self, t: float, pts) -> np.ndarray:
-        """mu(t, .) = exp(log J(t, .)) at the query points."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        data = self._batched(pts)
-        if data is not None and data[0] == "S":
-            return np.ones(pts.shape[0])
-        return np.exp(self.log_jacobian(t, pts))
-
-    def interpolation_error(self, t: float):
-        return 0.0, 0.0
+        """mu(t, .); identically 1 for the piecewise translations C and D."""
+        if self.field.id in ("C", "D"):
+            return np.ones(np.atleast_2d(pts).shape[0])
+        return super().density(t, pts)
 
 
-class InterpolatedFlowMap:
+class InterpolatedFlowMap(FlowMap):
     """Flow map for smooth fields: RK4 on a periodic grid plus periodic
     cubic-spline interpolation of the displacement and log-Jacobian.
 
@@ -710,6 +737,7 @@ class InterpolatedFlowMap:
             np.meshgrid(axis, axis, indexing="ij"), axis=-1
         ).reshape(-1, 2)
         self._coeffs: dict = {}
+        self._err_cache: dict = {}
 
     def prepare(self, times) -> None:
         """Integrate the grid ensemble through all requested times at once."""
@@ -744,17 +772,10 @@ class InterpolatedFlowMap:
         c0, c1, _ = self._lookup(t)
         return np.stack([self._interp(c0, pts), self._interp(c1, pts)], axis=-1)
 
-    def position(self, t: float, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return wrap_coords(pts + self.displacement(t, pts))
-
     def log_jacobian(self, t: float, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         _, _, cj = self._lookup(t)
         return self._interp(cj, pts)
-
-    def density(self, t: float, pts) -> np.ndarray:
-        return np.exp(self.log_jacobian(t, pts))
 
     def interpolation_error(self, t: float, n_sample: int = 128, seed: int = 7):
         """(max position error, max log J error) against direct integration.
@@ -762,9 +783,7 @@ class InterpolatedFlowMap:
         Deterministic (seeded sample) and memoized per time.
         """
         key = (round(float(t), 12), n_sample, seed)
-        cache = getattr(self, "_err_cache", None)
-        if cache is None:
-            cache = self._err_cache = {}
+        cache = self._err_cache
         if key in cache:
             return cache[key]
         rng = np.random.default_rng(seed)
@@ -781,7 +800,7 @@ class InterpolatedFlowMap:
         return cache[key]
 
 
-class DirectFlowMap:
+class DirectFlowMap(FlowMap):
     """Flow map that integrates the query points on demand with rk4_event.
 
     No interpolation: every call runs the solver from t = 0 on exactly
@@ -814,18 +833,8 @@ class DirectFlowMap:
     def displacement(self, t: float, pts) -> np.ndarray:
         return self._solve(t, pts)[0]
 
-    def position(self, t: float, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return wrap_coords(pts + self.displacement(t, pts))
-
     def log_jacobian(self, t: float, pts) -> np.ndarray:
         return self._solve(t, pts)[1]
-
-    def density(self, t: float, pts) -> np.ndarray:
-        return np.exp(self.log_jacobian(t, pts))
-
-    def interpolation_error(self, t: float):
-        return 0.0, 0.0
 
 
 def make_flow_map(fld: PiecewiseField, method: str = "auto",

@@ -27,16 +27,18 @@ that contribution is :func:`singular_bound`, which decays like
 
 Quadrature layout.  z-integrals always run over the image of a tensor
 grid on the unit box under U^{-1} (the w = U z substitution), so the
-squeezed support stays resolved at any gamma.  x-integrals use the
-uniform torus grid for smooth fields; for strip fields they use the
-field frame (tangential uniform x normal Gauss-Legendre panels) with the
-panels split both at the jump surfaces and at their eps<n, z>-shifted
-copies, so every x-integrand is smooth on every panel and the quadrature
-carries no jump-boundary error.  z-nodes sharing the same shift are
-processed as one block; the cell-centered w-grid makes those groups
-large for every catalog field.  The x-side flow factors (displacement
-and density of the first flow) are evaluated once per x point set and
-time, and shared by every z block paired with that set.  Gauss-Legendre
+squeezed support stays resolved at any gamma.  Every x-grid comes from
+:func:`bvflow.catalog.volume_quadrature`: the uniform torus grid for
+smooth fields; for strip fields the field frame (tangential uniform x
+normal Gauss-Legendre panels) with the panels split both at the jump
+surfaces and at their eps<n, z>-shifted copies, so every x-integrand is
+smooth on every panel and the quadrature carries no jump-boundary error.
+z-nodes sharing the same shift are processed as one block against one
+x-grid (a smooth field has a single block); the cell-centered w-grid
+makes those groups large for every catalog field.  The x-side flow
+factors (displacement and density of the first flow) are evaluated once
+per x point set and time, and shared by every z block paired with that
+set.  Gauss-Legendre
 rules come from :func:`bvflow.torus.gauss_legendre`, built once per
 order.
 
@@ -49,15 +51,15 @@ times for the eqfin residual, the I2 limit and C(t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import catalog as cat
-from .catalog import PiecewiseField, strip_s_quadrature, strip_points, volume_quadrature
+from .catalog import PiecewiseField, volume_quadrature
 from .flow import collision_branch_maps
 from .kernels import AnisotropicKernel
-from .torus import gauss_legendre, torus_distance, wrap_half
+from .torus import QuadratureGrid, gauss_legendre, torus_distance, wrap_half
 
 __all__ = [
     "FunctionalConfig",
@@ -85,7 +87,6 @@ class FunctionalConfig:
     """Quadrature and differencing parameters for the functionals."""
 
     epsilon: float
-    t: float = 0.5
     n_x: int = 64
     n_z: int = 64
     n_theta: int = 8
@@ -107,7 +108,12 @@ class FunctionalConfig:
 # ---------------------------------------------------------------------------
 
 def _z_shift_groups(field: PiecewiseField, z_pts, eps):
-    """Group z-node indices by the level shift eps <n, z> (rounded)."""
+    """Group z-node indices by the level shift eps <n, z> (rounded).
+
+    A smooth field has no level coordinate: one group holds every z.
+    """
+    if field.strip_normal is None:
+        return [(0.0, np.arange(z_pts.shape[0]))]
     n = np.asarray(field.strip_normal, dtype=float)
     shifts = eps * (z_pts @ n)
     keys = np.round(shifts, 13)
@@ -137,13 +143,9 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     eps = cfg.epsilon
     want = tuple(want)
     times = [float(t) for t in times]
-    prepare = getattr(flow_x, "prepare", None)
-    if prepare is not None:
-        prepare(times)
+    flow_x.prepare(times)
     if flow_y is not flow_x:
-        prepare = getattr(flow_y, "prepare", None)
-        if prepare is not None:
-            prepare(times)
+        flow_y.prepare(times)
     z_pts, z_wts = kernel.z_quadrature(None, cfg.n_z, rule="midpoint")
     totals = {t: {k: 0.0 for k in want} for t in times}
 
@@ -157,13 +159,10 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     def x_factors(x_pts):
         """flow_x's displacement and density at x_pts for every time,
         shared by all z-chunks paired with this x point set."""
-        batch = getattr(flow_x, "begin_batch", None)
-        if batch is not None:
-            batch(x_pts)
+        flow_x.begin_batch(x_pts)
         out = {t: (flow_x.displacement(t, x_pts), flow_x.density(t, x_pts))
                for t in times}
-        if batch is not None:
-            flow_x.end_batch()
+        flow_x.end_batch()
         return out
 
     def accumulate(x_pts, x_wts, x_side, z_chunk, zw_chunk):
@@ -204,9 +203,7 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
             g2a = -np.einsum("qpi,qpi->qp", d2, dbz)
 
         base = zw_chunk[:, None] * x_wts[None, :]  # (q,P)
-        batch = getattr(flow_y, "begin_batch", None)
-        if batch is not None:
-            flow_y.begin_batch(y_pts)
+        flow_y.begin_batch(y_pts)
         for t in times:
             dx, mu1 = x_side[t]  # (P,2), (P,)
             dy = flow_y.displacement(t, y_pts).reshape(q, p, 2)
@@ -229,36 +226,18 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
                 tot["I2_ABS"] += float(np.sum(np.abs(g2) * ww))
             if "I2a" in want:
                 tot["I2a"] += float(np.sum(dist * g2a * ww))
-        if batch is not None:
-            flow_y.end_batch()
+        flow_y.end_batch()
 
-    if field.strip_normal is None:
-        axis = (np.arange(cfg.n_x) + 0.5) / cfg.n_x
-        x_pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        x_wts = np.full(x_pts.shape[0], 1.0 / cfg.n_x**2)
+    for shift, idx in _z_shift_groups(field, z_pts, eps):
+        x_pts, x_wts = volume_quadrature(
+            field, cfg.n_x, cfg.nodes_per_panel,
+            extra_breakpoints=[b - shift for b in field.strip_bounds],
+        )
         x_side = x_factors(x_pts)
         chunk = max(1, int(2.0e6 // x_pts.shape[0]))
-        for lo in range(0, z_pts.shape[0], chunk):
-            accumulate(x_pts, x_wts, x_side, z_pts[lo : lo + chunk],
-                       z_wts[lo : lo + chunk])
-    else:
-        _, norm, _ = cat.strip_frame(field)
-        tau = (np.arange(cfg.n_x) + 0.5) * (norm / cfg.n_x)
-        for shift, idx in _z_shift_groups(field, z_pts, eps):
-            shifted = [b - shift for b in field.strip_bounds]
-            s_nodes, s_wts = strip_s_quadrature(
-                field, extra_breakpoints=shifted,
-                nodes_per_panel=cfg.nodes_per_panel,
-            )
-            x_pts = strip_points(field, s_nodes, tau).reshape(-1, 2)
-            x_wts = np.broadcast_to(
-                s_wts[:, None] / cfg.n_x, (s_nodes.size, cfg.n_x)
-            ).reshape(-1)
-            x_side = x_factors(x_pts)
-            chunk = max(1, int(2.0e6 // x_pts.shape[0]))
-            for lo in range(0, idx.size, chunk):
-                sel = idx[lo : lo + chunk]
-                accumulate(x_pts, x_wts, x_side, z_pts[sel], z_wts[sel])
+        for lo in range(0, idx.size, chunk):
+            sel = idx[lo : lo + chunk]
+            accumulate(x_pts, x_wts, x_side, z_pts[sel], z_wts[sel])
     return totals
 
 
@@ -302,13 +281,6 @@ def I_eps_fd(flow_x, flow_y, field, kernel, cfg: FunctionalConfig,
     return _central_difference(d, t, cfg.dt_fd)
 
 
-def _interp_errors(flow_map, t):
-    err = getattr(flow_map, "interpolation_error", None)
-    if err is None:
-        return 0.0, 0.0
-    return err(t)
-
-
 def decomposition_check(flow_x, flow_y, field, kernel, cfg: FunctionalConfig,
                         t: float) -> dict:
     """Cross-check I_eps_fd against I1 + I2 with an explicit error budget.
@@ -337,11 +309,7 @@ def decomposition_check(flow_x, flow_y, field, kernel, cfg: FunctionalConfig,
                 _central_difference(vals, t, 2 * dt))
 
     at_t, i_fd, i_fd2 = fd_and_terms(cfg)
-    cfg_half = FunctionalConfig(
-        epsilon=cfg.epsilon, t=cfg.t, n_x=max(8, cfg.n_x // 2),
-        n_z=max(8, cfg.n_z // 2), n_theta=cfg.n_theta, dt_fd=cfg.dt_fd,
-        nodes_per_panel=cfg.nodes_per_panel,
-    )
+    cfg_half = replace(cfg, n_x=max(8, cfg.n_x // 2), n_z=max(8, cfg.n_z // 2))
     at_t_half, i_fd_half, _ = fd_and_terms(cfg_half)
 
     fd_err = abs(i_fd - i_fd2)
@@ -351,8 +319,8 @@ def decomposition_check(flow_x, flow_y, field, kernel, cfg: FunctionalConfig,
         + abs(i_fd - i_fd_half)
     )
 
-    pos_x, lj_x = _interp_errors(flow_x, t)
-    pos_y, lj_y = _interp_errors(flow_y, t)
+    pos_x, lj_x = flow_x.interpolation_error(t)
+    pos_y, lj_y = flow_y.interpolation_error(t)
     pos_err, lj_err = pos_x + pos_y, lj_x + lj_y
     interp_d = at_t["MASS"] * pos_err + abs(at_t["D"]) * lj_err
     interp = (
@@ -392,11 +360,9 @@ def R_a_check(field: PiecewiseField, kernel: AnisotropicKernel, x,
     """
     x = np.asarray(x, dtype=float).reshape(1, 2)
     a = field.grad_a(x[0])
-    z_pts, z_wts = kernel.z_quadrature(x, n_z, rule="polar")
-    if kernel.eta.is_constant:
-        d2 = kernel.d2_rho(None, z_pts)
-    else:
-        d2 = kernel.d2_rho(np.broadcast_to(x, (z_pts.shape[0], 2)), z_pts)
+    z_pts, z_wts, d2 = _polar_z_grid(
+        kernel, None if kernel.eta.is_constant else x[0], n_z
+    )
     integrand = np.einsum("qi,ij,qj->q", d2, a, z_pts)
     return float(np.sum(integrand * z_wts) + np.trace(a))
 
@@ -412,34 +378,41 @@ def singular_bound(field: PiecewiseField, kernel: AnisotropicKernel,
     With the kernel direction equal to the jump normal this decays
     exactly like 1/(1+gamma) (the w = U z substitution).  The surface
     integral collapses to one z-integral per component when the kernel
-    direction is constant.
+    direction is constant; that z-grid and its d2 rho are then built once
+    for all components.
     """
     if not field.jumps:
         return 0.0
+    constant = kernel.eta.is_constant
+    m = 1 if constant else n_surface
+    shared = _polar_z_grid(kernel, None, n_z) if constant else None
     total = 0.0
     for jump in field.jumps:
         xi = np.asarray(jump.xi, dtype=float)
         eta_b = np.asarray(jump.eta, dtype=float)
-        if kernel.eta.is_constant:
-            nodes = jump.nodes(1)
-            k_vals = np.array([_singular_z_integral(kernel, nodes[0], xi, eta_b, n_z)])
-            surf = float(k_vals[0]) * jump.sigma * jump.length
-        else:
-            nodes = jump.nodes(n_surface)
-            k_vals = np.array(
-                [_singular_z_integral(kernel, p, xi, eta_b, n_z) for p in nodes]
+        k_vals = np.array([
+            _singular_z_integral(
+                shared if constant else _polar_z_grid(kernel, p, n_z), xi, eta_b
             )
-            surf = float(np.sum(k_vals)) * jump.sigma * jump.length / n_surface
-        total += surf
+            for p in jump.nodes(m)
+        ])
+        total += float(np.sum(k_vals)) * jump.sigma * jump.length / m
     return 2.0 * c_t**2 * total
 
 
-def _singular_z_integral(kernel, x, xi, eta_b, n_z):
+def _polar_z_grid(kernel, x, n_z):
+    """Polar z-grid at the point x (None when the kernel direction is
+    constant, so the grid is the same at every x) and the values of
+    d2 rho on it: (z_pts, z_wts, d2)."""
+    if x is None:
+        z_pts, z_wts = kernel.z_quadrature(None, n_z, rule="polar")
+        return z_pts, z_wts, kernel.d2_rho(None, z_pts)
     z_pts, z_wts = kernel.z_quadrature(x.reshape(1, 2), n_z, rule="polar")
-    if kernel.eta.is_constant:
-        d2 = kernel.d2_rho(None, z_pts)
-    else:
-        d2 = kernel.d2_rho(np.broadcast_to(x, (z_pts.shape[0], 2)), z_pts)
+    return z_pts, z_wts, kernel.d2_rho(np.broadcast_to(x, (z_pts.shape[0], 2)), z_pts)
+
+
+def _singular_z_integral(grid, xi, eta_b):
+    z_pts, z_wts, d2 = grid
     vals = np.abs(d2 @ xi) * np.abs(z_pts @ eta_b)
     return float(np.sum(vals * z_wts))
 
@@ -682,8 +655,7 @@ def uniqueness_report(field, flow_x, flow_y, kernel, cfg: FunctionalConfig,
     instead of a Gronwall bound.
     """
     if field.singular_divergence_violation() > 1e-9:
-        axis = (np.arange(256) + 0.5) / 256
-        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        grid = QuadratureGrid.torus(256).nodes
         t_branch = min(0.3, 0.49)
         z_l, z_r = collision_branch_maps(grid, t_branch)
         branch = float(np.mean(torus_distance(z_l, z_r)))

@@ -393,14 +393,23 @@ def test_make_flow_map_dispatch():
         ExactFlowMap(get_field("A"))
 
 
-def test_exact_map_batch_consistency():
-    fm = ExactFlowMap(get_field("B"))
+@pytest.mark.parametrize(
+    "fid, t",
+    [("B", -0.2), ("B", 0.3), ("C", -0.2), ("C", 0.3), ("D", -0.2), ("D", 0.3),
+     ("E", 0.3)],
+)
+def test_exact_map_batch_consistency(fid, t):
+    # the batch shares the closed form's time-independent part; it must
+    # not change a single bit of any query
+    fm = ExactFlowMap(get_field(fid))
     pts = np.random.default_rng(7).random((50, 2))
-    plain = fm.displacement(0.3, pts)
+    queries = (fm.displacement, fm.log_jacobian, fm.density)
+    plain = [q(t, pts) for q in queries]
     fm.begin_batch(pts)
-    batched = fm.displacement(0.3, pts)
+    batched = [q(t, pts) for q in queries]
     fm.end_batch()
-    assert np.allclose(plain, batched, atol=1e-15)
+    for p, b in zip(plain, batched):
+        assert np.array_equal(p, b)
 
 
 def test_exact_map_new_batch_drops_memo():

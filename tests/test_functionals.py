@@ -35,7 +35,7 @@ def polar_reference(f, n=400):
     return float(np.sum(f(z) * w))
 
 
-class ShiftedMap:
+class ShiftedMap(flow.FlowMap):
     """Y_t(x) = X_t(x) + v: a rigid offset of an existing flow map."""
 
     def __init__(self, base, v):
@@ -45,16 +45,43 @@ class ShiftedMap:
     def displacement(self, t, pts):
         return self.base.displacement(t, pts) + self.v
 
-    def position(self, t, pts):
-        from bvflow.torus import wrap_coords
-
-        return wrap_coords(np.atleast_2d(pts) + self.displacement(t, pts))
+    def log_jacobian(self, t, pts):
+        return self.base.log_jacobian(t, pts)
 
     def density(self, t, pts):
         return self.base.density(t, pts)
 
     def interpolation_error(self, t):
         return self.base.interpolation_error(t)
+
+
+class ClosedFormMap(flow.FlowMap):
+    """The protocol's minimum: only displacement and log J, no hooks."""
+
+    def __init__(self, fld):
+        self.field = fld
+
+    def displacement(self, t, pts):
+        return flow._exact_displacement(self.field, pts, t)[0]
+
+    def log_jacobian(self, t, pts):
+        return flow._exact_displacement(self.field, pts, t)[1]
+
+
+def test_minimal_flow_map_runs_through_the_functionals():
+    # the base class's position, density and no-op hooks give the same
+    # numbers as the exact map with its batch
+    b = get_field("B")
+    minimal, exact = ClosedFormMap(b), ExactFlowMap(b)
+    kern = kernel_c(3.0)
+    cfg = fn.FunctionalConfig(epsilon=0.1, n_x=10, n_z=10)
+    want = ("D", "I1", "I2", "I2a", "MASS")
+    assert fn.pair_integrals_multi(minimal, minimal, b, kern, cfg, [0.2, 0.3], want) == \
+        fn.pair_integrals_multi(exact, exact, b, kern, cfg, [0.2, 0.3], want)
+    assert fn.decomposition_check(minimal, exact, b, kern, cfg, 0.3) == \
+        fn.decomposition_check(exact, exact, b, kern, cfg, 0.3)
+    assert fn.eqfin_residual(minimal, minimal, b, 0.3, n_x=16) == \
+        fn.eqfin_residual(exact, exact, b, 0.3, n_x=16)
 
 
 def test_functional_config_validation():
