@@ -175,31 +175,42 @@ class PiecewiseField:
 
     # -- vectorized evaluation (quadrature path) -------------------------
 
-    def eval_many(self, points) -> np.ndarray:
-        """b at each point, shape (M, 2); jump set treated as measure zero."""
+    def _per_piece(self, points, fn, tails, idx=None):
+        """The arrays fn(piece, pts) returns, evaluated on each point's
+        piece; the k-th has shape (M, *tails[k]).
+
+        ``idx`` gives each point's piece; by default the active one.  A
+        single-piece field evaluates its piece on all points directly.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if len(self.pieces) == 1:
-            return self.pieces[0].b(pts)
-        idx = self.piece_index(pts)
-        out = np.empty_like(pts)
+            return fn(self.pieces[0], pts)
+        if idx is None:
+            idx = self.piece_index(pts)
+        outs = tuple(np.empty((pts.shape[0],) + tail) for tail in tails)
         for k, piece in enumerate(self.pieces):
             mask = idx == k
             if mask.any():
-                out[mask] = piece.b(pts[mask])
-        return out
+                for out, vals in zip(outs, fn(piece, pts[mask])):
+                    out[mask] = vals
+        return outs
+
+    def eval_many(self, points) -> np.ndarray:
+        """b at each point, shape (M, 2); jump set treated as measure zero."""
+        return self._per_piece(points, lambda pc, p: (pc.b(p),), [(2,)])[0]
 
     def jacobian_many(self, points) -> np.ndarray:
         """Jacobian of the active piece at each point, shape (M, 2, 2)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if len(self.pieces) == 1:
-            return self.pieces[0].jacobian(pts)
-        idx = self.piece_index(pts)
-        out = np.empty((pts.shape[0], 2, 2))
-        for k, piece in enumerate(self.pieces):
-            mask = idx == k
-            if mask.any():
-                out[mask] = piece.jacobian(pts[mask])
-        return out
+        return self._per_piece(points, lambda pc, p: (pc.jacobian(p),), [(2, 2)])[0]
+
+    def eval_with_divergence(self, points, piece=None):
+        """(b, div^a b) at each point, shapes (M, 2) and (M,), from one
+        piece selection.  ``piece`` (one index per point) evaluates those
+        pieces' smooth extensions instead of the active ones."""
+        def both(pc, p):
+            return pc.b(p), np.trace(pc.jacobian(p), axis1=-2, axis2=-1)
+
+        return self._per_piece(points, both, [(2,), ()], piece)
 
     def divergence_many(self, points) -> np.ndarray:
         jac = self.jacobian_many(points)

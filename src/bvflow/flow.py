@@ -5,12 +5,15 @@ Two solver methods:
 
 ``rk4_event``
     Classical fixed-step RK4 inside a smooth piece.  For strip fields
-    every step is screened against the jump surfaces; a sign change of
-    the signed level value triggers bisection of the step down to
-    ``event_tol``, a transversality check of the one-sided traces, and a
-    restart on the receiving side.  Tangential or opposing traces raise
+    each point keeps its own remaining time, and every step is screened
+    against the jump surfaces.  A sign change of the signed level value,
+    or a step that stalls just short of a surface, sends the point to
+    one vectorized bisection of its own step down to ``event_tol``, a
+    transversality check of the one-sided traces, and a restart on the
+    receiving side with the rest of its time; the other points take
+    their full steps.  Tangential or opposing traces raise
     :class:`NonTransversalCrossingError` (the trajectory would slide or
-    split; for field E backward in time this is the expected outcome).
+    split; for field E this is the expected outcome).
 
 ``explicit_exact``
     Closed-form flows, available for B (separable 1-D dynamics), C and D
@@ -158,43 +161,29 @@ class DensityField:
 
 
 def _rk4_step(fld: PiecewiseField, y, logj, h, piece=None):
-    """One RK4 step of the augmented system (y, log J), step h (signed).
+    """One RK4 step of the augmented system (y, log J).
 
-    With ``piece`` set, the stages evaluate that piece's smooth
-    extension instead of selecting by position.  This is how steps that
-    end on a jump surface are computed: the k4 stage of a mixed step
-    would otherwise sample the far side of the surface and pollute the
-    tangential components at O(h) whenever the endpoint rounds across.
+    ``h`` is the signed step, a scalar or one per point.  Each stage
+    selects each point's piece once, by position; with ``piece`` (one
+    index per point) set, the stages evaluate those pieces' smooth
+    extensions instead.  This is how steps that end on a jump surface
+    are computed: the k4 stage of a mixed step would otherwise sample the
+    far side of the surface and pollute the tangential components at
+    O(h) whenever the endpoint rounds across.
     """
-    if piece is None:
-        def rhs(state):
-            w = wrap_coords(state)
-            return fld.eval_many(w), fld.divergence_many(w)
-    else:
-        pc = fld.pieces[piece]
-
-        def rhs(state):
-            w = wrap_coords(state)
-            return pc.b(w), np.trace(pc.jacobian(w), axis1=-2, axis2=-1)
-
-    k1, d1 = rhs(y)
-    k2, d2 = rhs(y + 0.5 * h * k1)
-    k3, d3 = rhs(y + 0.5 * h * k2)
-    k4, d4 = rhs(y + h * k3)
-    y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    hy = h if np.ndim(h) == 0 else h[:, None]
+    k1, d1 = fld.eval_with_divergence(wrap_coords(y), piece)
+    k2, d2 = fld.eval_with_divergence(wrap_coords(y + 0.5 * hy * k1), piece)
+    k3, d3 = fld.eval_with_divergence(wrap_coords(y + 0.5 * hy * k2), piece)
+    k4, d4 = fld.eval_with_divergence(wrap_coords(y + hy * k3), piece)
+    y_new = y + (hy / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     logj_new = logj + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
     return y_new, logj_new
 
 
-def _levels(fld: PiecewiseField, y):
-    """Signed level values of every jump surface, shape (J, M)."""
-    return np.stack(
-        [
-            wrap_half(y @ np.asarray(j.normal_int, dtype=float) - j.offset)
-            for j in fld.jumps
-        ],
-        axis=0,
-    )
+def _levels(normals, offsets, y):
+    """Signed level values of the surfaces at y (M, 2), shape (J, M)."""
+    return wrap_half(normals @ y.T - offsets[:, None])
 
 
 def _nudge_initial_points(fld: PiecewiseField, y):
@@ -374,132 +363,126 @@ def integrate_flow(fld: PiecewiseField, cfg: FlowSolverConfig, initial_points,
 def _advance(fld, cfg, y, logj, duration, crossings):
     """Advance (y, logj) by signed ``duration`` with event handling.
 
-    Two event triggers per surface: a sign change of the level value
-    (ordinary crossing), and a "capture" where the step makes almost no
-    normal progress while sitting within reach of the surface; the
-    latter is how an attractive (sliding) interface manifests under RK4,
-    whose stages straddle the surface and cancel.  Both triggers locate
-    the first touch by bisection and then check transversality of the
-    one-sided traces.
+    Smooth fields take fixed steps of ``cfg.step`` (the last one
+    shorter), all points together.  On fields with jumps each point
+    keeps its own remaining time.  Every round tries a full mixed step of
+    sgn min(step, remaining) for every point (zero once its time is used
+    up) and screens it against every surface with two triggers: a sign
+    change of the level value (ordinary crossing), and a "capture" where
+    the step moves toward a surface within reach of it but makes almost
+    no normal progress.  The latter is how an attractive (sliding)
+    interface manifests under RK4, whose stages straddle the surface and
+    cancel.  Points with no event accept the step; :func:`_cross`
+    carries the others across and reports the time each one used, so no
+    point waits for another.  ``crossings`` counts each point's
+    crossings in place.
     """
     if abs(duration) < 1e-15:
         return y, logj
     sgn = 1.0 if duration > 0 else -1.0
-    remaining = abs(duration)
-    while remaining > 1e-13:
-        h = sgn * min(cfg.step, remaining)
-        if not fld.has_jumps:
+    if not fld.has_jumps:
+        remaining = abs(duration)
+        while remaining > 1e-13:
+            h = sgn * min(cfg.step, remaining)
             y, logj = _rk4_step(fld, y, logj, h)
             remaining -= abs(h)
-            continue
-        lev0 = _levels(fld, y)
+        return y, logj
+    normals = np.array([j.normal_int for j in fld.jumps], dtype=float)
+    offsets = np.array([j.offset for j in fld.jumps])
+    tol = cfg.event_tol
+    remaining = np.full(y.shape[0], abs(duration))
+    while True:
+        live = remaining > 1e-13
+        if not live.any():
+            return y, logj
+        h = np.where(live, sgn * np.minimum(cfg.step, remaining), 0.0)
+        lev0 = _levels(normals, offsets, y)
         y_try, logj_try = _rk4_step(fld, y, logj, h)
-        lev1 = _levels(fld, y_try)
+        lev1 = _levels(normals, offsets, y_try)
         # sign change through zero, or an exact/near landing on the
         # surface (a step boundary can coincide with the crossing time)
         crossed = (
-            ((np.sign(lev0) * np.sign(lev1) < 0) | (np.abs(lev1) <= cfg.event_tol))
+            ((np.sign(lev0) * np.sign(lev1) < 0) | (np.abs(lev1) <= tol))
             & (np.abs(lev1 - lev0) < 0.25)
-            & (np.abs(lev0) > cfg.event_tol)
+            & (np.abs(lev0) > tol)
         )
-        bvals = fld.eval_many(wrap_coords(y))
-        stalled = np.zeros_like(crossed)
-        for j, jmp in enumerate(fld.jumps):
-            n = np.asarray(jmp.normal_int, dtype=float)
-            v_n = (bvals @ n) * np.sign(h)  # normal speed in time direction
-            toward = (-np.sign(lev0[j])) * v_n > 1e-14
-            within_reach = np.abs(lev0[j]) <= 2.0 * abs(h) * np.abs(v_n)
-            no_progress = np.abs(lev1[j] - lev0[j]) < 0.5 * abs(h) * np.abs(v_n)
-            stalled[j] = (~crossed[j]) & toward & within_reach & no_progress
+        # normal speed in the time direction, and the normal reach of a step
+        v_n = (normals @ fld.eval_many(wrap_coords(y)).T) * np.sign(h)
+        reach = np.abs(h) * np.abs(v_n)
+        stalled = (
+            ~crossed
+            & (-np.sign(lev0) * v_n > 1e-14)
+            & (np.abs(lev0) <= 2.0 * reach)
+            & (np.abs(lev1 - lev0) < 0.5 * reach)
+        )
         events = crossed | stalled
-        hit = events.any(axis=0)
-        if not hit.any():
-            y, logj = y_try, logj_try
-            remaining -= abs(h)
-            continue
-        consumed = _resolve_crossings(fld, cfg, y, logj, h, hit, events, crossings)
-        remaining -= consumed
-    return y, logj
+        used = np.abs(h)
+        hit = np.flatnonzero(events.any(axis=0))
+        if hit.size:
+            surf = np.argmax(events[:, hit], axis=0)
+            y_try[hit], logj_try[hit], used[hit] = _cross(
+                fld, cfg, y[hit], logj[hit], h[hit], remaining[hit],
+                normals[surf], offsets[surf],
+            )
+            crossings[hit] += 1
+            if crossings[hit].max() > cfg.max_crossings:
+                raise RunawayTrajectoryError(
+                    f"field {fld.id}: trajectory exceeded {cfg.max_crossings} crossings"
+                )
+        y, logj = y_try, logj_try
+        remaining -= used
 
 
-def _resolve_crossings(fld, cfg, y, logj, h, hit, crossed, crossings):
-    """Advance crossing points to just past the interface; others take the
-    full step.  Mutates y, logj, crossings in place; returns the time
-    consumed (the earliest crossing's fraction of h, so non-crossing
-    points are re-stepped consistently next round).
+def _cross(fld, cfg, y, logj, h, left, n, off):
+    """Carry event points just past their surfaces.
 
-    For simplicity every point is advanced only up to the earliest
-    crossing time among the hit points, which keeps the whole ensemble
-    time-synchronized; the non-crossing points simply take a shorter RK4
-    step (same order of accuracy).
+    Point i meets the surface <x, n[i]> = off[i] (mod 1) within its step
+    h[i].  One vectorized first-touch bisection, on the piece each point
+    leaves, locates the fraction of the step at which |level| <=
+    event_tol (at most 80 halvings).  One RK4 step on that piece to the
+    fraction and a projection put the point on the surface.  Both
+    one-sided traces must carry it across at a normal speed above 1e-10;
+    otherwise :class:`NonTransversalCrossingError` is raised for the
+    failing point that meets its surface first (``left`` is each point's
+    remaining time before the step).  The point is placed 2 event_tol on
+    the receiving side.  Returns (y, logj, time used).
     """
-    idx = np.nonzero(hit)[0]
-    surf = [int(np.nonzero(crossed[:, i])[0][0]) for i in idx]
-    pieces = fld.piece_index(wrap_coords(y[idx]))
-    # scalar first-touch bisection per event point (they are few), on the
-    # arriving piece's smooth extension
-    fractions = np.empty(idx.size)
-    for j, i in enumerate(idx):
-        jmp = fld.jumps[surf[j]]
-        n = np.asarray(jmp.normal_int, dtype=float)
-        fa = float(wrap_half(y[i] @ n - jmp.offset))
-        a, b = 0.0, 1.0
-        for _ in range(80):
-            mfrac = 0.5 * (a + b)
-            y_f, _ = _rk4_step(
-                fld, y[i : i + 1], logj[i : i + 1], h * mfrac, piece=int(pieces[j])
-            )
-            fm = float(wrap_half(y_f[0] @ n - jmp.offset))
-            reached = abs(fm) <= cfg.event_tol or np.sign(fm) != np.sign(fa)
-            if reached:
-                b = mfrac
-                if abs(fm) <= cfg.event_tol:
-                    break
-            else:
-                a = mfrac
-        fractions[j] = b
-    t_frac = float(fractions.min())
-    # advance every point by the same fraction of h
-    y_new, logj_new = _rk4_step(fld, y, logj, h * t_frac)
-    arrived = np.zeros(y.shape[0], dtype=bool)
-    arrived[idx[fractions <= t_frac + 1e-12]] = True
-    for i in np.nonzero(arrived)[0]:
-        j = int(np.nonzero(idx == i)[0][0])
-        jmp = fld.jumps[surf[j]]
-        n = np.asarray(jmp.normal_int, dtype=float)
-        nn = float(n @ n)
-        # redo the arriving point's step on its own piece
-        y_i, logj_i = _rk4_step(
-            fld, y[i : i + 1], logj[i : i + 1], h * t_frac, piece=int(pieces[j])
+    nn = np.sum(n * n, axis=1)[:, None]
+
+    def level(z):
+        return wrap_half(np.sum(z * n, axis=1) - off)
+
+    pieces = fld.piece_index(wrap_coords(y))
+    fa = level(y)
+    lo, hi = np.zeros(y.shape[0]), np.ones(y.shape[0])
+    searching = np.ones(y.shape[0], dtype=bool)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fm = level(_rk4_step(fld, y, logj, h * mid, pieces)[0])
+        on = np.abs(fm) <= cfg.event_tol
+        reached = on | (np.sign(fm) != np.sign(fa))
+        hi = np.where(searching & reached, mid, hi)
+        lo = np.where(searching & ~reached, mid, lo)
+        searching &= ~on
+        if not searching.any():
+            break
+    y_new, logj_new = _rk4_step(fld, y, logj, h * hi, pieces)
+    direction = np.sign(-fa)[:, None]
+    x_surf = y_new - level(y_new)[:, None] * n / nn
+    probe = direction * (2.0 * cfg.event_tol) * n / nn
+    bn_from = np.sum(fld.eval_many(wrap_coords(x_surf - probe)) * n, axis=1)
+    bn_to = np.sum(fld.eval_many(wrap_coords(x_surf + probe)) * n, axis=1)
+    across = np.sign(h) * direction[:, 0]
+    used = np.abs(h) * hi
+    bad = (across * bn_from <= 1e-10) | (across * bn_to <= 1e-10)
+    if bad.any():
+        i = np.flatnonzero(bad)[np.argmax((left - used)[bad])]
+        raise NonTransversalCrossingError(
+            fld.id,
+            wrap_coords(x_surf[i]),
+            f"one-sided normal speeds {bn_from[i]:.3g} / {bn_to[i]:.3g}",
         )
-        y_new[i], logj_new[i] = y_i[0], logj_i[0]
-        lv = float(wrap_half(y_new[i] @ n - jmp.offset))
-        direction = np.sign(float(wrap_half(y[i] @ n - jmp.offset)) * -1.0)
-        # traces on both sides of the surface at the crossing point
-        x_surf = y_new[i] - lv * n / nn
-        probe = 2.0 * cfg.event_tol
-        b_from = fld.eval_many(wrap_coords(x_surf - direction * probe * n / nn))[0]
-        b_to = fld.eval_many(wrap_coords(x_surf + direction * probe * n / nn))[0]
-        sgn_t = np.sign(h)  # time direction
-        v_from = sgn_t * float(b_from @ n) * direction
-        v_to = sgn_t * float(b_to @ n) * direction
-        if v_from <= 1e-10 or v_to <= 1e-10:
-            raise NonTransversalCrossingError(
-                fld.id,
-                wrap_coords(x_surf),
-                "one-sided normal speeds "
-                f"{float(b_from @ n):.3g} / {float(b_to @ n):.3g}",
-            )
-        crossings[i] += 1
-        if crossings[i] > cfg.max_crossings:
-            raise RunawayTrajectoryError(
-                f"field {fld.id}: trajectory exceeded {cfg.max_crossings} crossings"
-            )
-        # place just on the receiving side
-        y_new[i] = x_surf + direction * probe * n / nn
-    y[:] = y_new
-    logj[:] = logj_new
-    return abs(h) * t_frac
+    return x_surf + probe, logj_new, used
 
 
 def density_from_flow(ensemble: FlowEnsemble, t: float) -> DensityField:
@@ -537,12 +520,15 @@ def pushforward_histogram(ensemble: FlowEnsemble, t: float, bins: int) -> Densit
 
 def check_group_property(ensemble: FlowEnsemble, s: float, t: float,
                          max_points: int = 512) -> float:
-    """sup over sample points of d(X(t, X(s, x)), X(s+t, x)) on the torus."""
+    """sup over sample points of d(X(t, X(s, x)), X(s+t, x)) on the torus.
+
+    The sample is every k-th initial point of the ensemble, with k the
+    smallest stride that keeps at most ``max_points``.
+    """
     fld = get_field(ensemble.field_id)
     pts = ensemble.initial_points
     if pts.shape[0] > max_points:
-        stride = pts.shape[0] // max_points
-        pts = pts[::stride]
+        pts = pts[:: -(-pts.shape[0] // max_points)]
     e_s = integrate_flow(fld, ensemble.config, pts, [0.0, s])
     mid = e_s.positions[e_s.time_index(s)]
     e_t = integrate_flow(fld, ensemble.config, mid, [0.0, t])

@@ -503,8 +503,7 @@ def trace_identity(m_matrix, profile, gammas=(0.0, 1.0, 3.0, 10.0, 30.0, 100.0),
         for ang in np.atleast_1d(eta_angles):
             eta = DirectionField.constant((np.cos(ang), np.sin(ang)))
             kern = AnisotropicKernel(profile, eta, float(gamma))
-            z_pts, z_wts = kern.z_quadrature(None, n_z, rule="polar")
-            grad = kern.d2_rho(None, z_pts)
+            z_pts, z_wts, grad = _polar_z_grid(kern, None, n_z)
             vals = np.abs(np.einsum("qi,qi->q", z_pts @ m.T, grad))
             integral = float(np.sum(vals * z_wts))
             margin = min(margin, integral - tr)

@@ -201,6 +201,24 @@ def test_vectorized_matches_scalar_off_jumps():
             assert np.allclose(fld.eval_b(p), many[i])
 
 
+def test_eval_with_divergence_matches_separate_routes():
+    rng = np.random.default_rng(12)
+    pts = rng.random((64, 2))
+    for fid in FIELD_IDS:
+        fld = get_field(fid)
+        b, div = fld.eval_with_divergence(pts)
+        assert np.array_equal(b, fld.eval_many(pts))
+        assert np.array_equal(div, fld.divergence_many(pts))
+        # pinned pieces evaluate their own smooth extension everywhere
+        pinned = np.arange(64) % len(fld.pieces)
+        b, div = fld.eval_with_divergence(pts, pinned)
+        for k, pc in enumerate(fld.pieces):
+            rows = pinned == k
+            assert np.array_equal(b[rows], pc.b(pts[rows]))
+            trace = np.trace(pc.jacobian(pts[rows]), axis1=1, axis2=2)
+            assert np.array_equal(div[rows], trace)
+
+
 def test_fields_are_immutable():
     c = get_field("C")
     with pytest.raises(Exception):

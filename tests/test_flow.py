@@ -22,7 +22,7 @@ from bvflow.flow import (
     make_flow_map,
     pushforward_histogram,
 )
-from bvflow.torus import torus_distance
+from bvflow.torus import torus_distance, wrap_half
 
 TWO_PI = 2.0 * math.pi
 RK4 = FlowSolverConfig(step=1e-3)
@@ -132,6 +132,20 @@ def test_group_property():
     assert check_group_property(ens, 0.2, 0.3, max_points=16) < 1e-8
     ens_c = integrate_flow(get_field("C"), EXACT, pts, [0.0, 0.25])
     assert check_group_property(ens_c, 0.25, 0.25, max_points=16) < 1e-10
+
+
+def test_group_property_checks_at_most_max_points(monkeypatch):
+    pts = np.random.default_rng(5).random((100, 2))
+    ens = integrate_flow(get_field("C"), EXACT, pts, [0.0, 0.1])
+    sizes = []
+
+    def counting(fld, cfg, initial_points, times):
+        sizes.append(len(initial_points))
+        return integrate_flow(fld, cfg, initial_points, times)
+
+    monkeypatch.setattr(flow, "integrate_flow", counting)
+    assert check_group_property(ens, 0.2, 0.3, max_points=32) < 1e-10
+    assert sizes and max(sizes) <= 32
 
 
 def test_group_defect_h_refinement_slope():
@@ -262,6 +276,14 @@ def test_field_b_histogram_band():
 def test_field_e_forward_rk4_raises():
     with pytest.raises(NonTransversalCrossingError):
         integrate_flow(get_field("E"), RK4, np.array([[0.45, 0.2]]), [0.0, 0.2])
+    # many points, several meeting x1 = 1/2 within one long step: the
+    # error names the first to reach it, on the interface
+    pts = np.random.default_rng(4).random((20, 2))
+    with pytest.raises(NonTransversalCrossingError) as info:
+        integrate_flow(get_field("E"), FlowSolverConfig(step=0.1), pts, [0.0, 0.6])
+    first = np.argmin(np.abs(pts[:, 0] - 0.5))
+    assert abs(info.value.point[0] - 0.5) <= 1e-9
+    assert info.value.point[1] == pytest.approx(pts[first, 1], abs=1e-12)
 
 
 @pytest.mark.parametrize("cfg", [RK4, EXACT])
@@ -317,38 +339,84 @@ def transversal_fixture():
     return _strip_field("T", "bv", (1, 0), (1.0, 1.0), (1.0, -1.0))
 
 
-def oracle_transversal(p, t):
-    x1, x2 = float(p[0]), float(p[1])
-    x, y, tt = x1 % 1.0, x2, t
-    while tt > 1e-15:
-        if x < 0.5:
-            dt = min(tt, 0.5 - x)
-            y += dt
-        else:
-            dt = min(tt, 1.0 - x)
-            y -= dt
-        x = (x + dt) % 1.0
-        tt -= dt
-        if x in (0.0, 0.5):
-            x += 1e-13
-    return np.array([(x1 + t) % 1.0, y % 1.0])
+def oracle_transversal(pts, t):
+    """Closed form of the fixture's flow: x1 moves at unit speed and x2
+    integrates +-1, so x2(t) = x2 + F(x1 + t) - F(x1) with F(s) the
+    distance from s to the nearest integer."""
+
+    def tent(s):
+        s = np.mod(s, 1.0)
+        return np.minimum(s, 1.0 - s)
+
+    x1, x2 = pts[:, 0], pts[:, 1]
+    return np.stack(
+        [np.mod(x1 + t, 1.0), np.mod(x2 + tent(x1 + t) - tent(x1), 1.0)], axis=-1
+    )
 
 
-def test_transversal_crossing_accuracy():
+@pytest.mark.parametrize(
+    "pts, t",
+    [
+        (np.array([[0.25, 0.1], [0.4, 0.9], [0.75, 0.33], [0.1, 0.6]]), 0.6),
+        # one column: every point crosses x1 = 1/2 and x1 = 1 in the same step
+        (np.stack([np.full(16, 0.45), (np.arange(16) + 0.5) / 16], axis=-1), 0.6),
+        (np.random.default_rng(21).random((256, 2)), -0.7),
+    ],
+    ids=["four-points", "column-same-step", "seeded-256-backward"],
+)
+def test_transversal_crossing_accuracy(pts, t):
     fld = transversal_fixture()
-    pts = np.array([[0.25, 0.1], [0.4, 0.9], [0.75, 0.33], [0.1, 0.6]])
-    ens = integrate_flow(fld, RK4, pts, [0.0, 0.6])
-    pos = ens.positions[ens.time_index(0.6)]
-    expect = np.array([oracle_transversal(p, 0.6) for p in pts])
-    assert np.max(torus_distance(pos, expect)) < 1e-9
+    ens = integrate_flow(fld, RK4, pts, [0.0, t])
+    pos = ens.positions[ens.time_index(t)]
+    assert np.max(torus_distance(pos, oracle_transversal(pts, t))) < 1e-9
     assert np.max(np.abs(ens.log_jacobian)) == 0.0
 
 
-def test_max_crossings_guard():
+@pytest.mark.parametrize("budget, raises", [(1, True), (2, False)],
+                         ids=["budget1-raises", "budget2-passes"])
+def test_max_crossings_guard(budget, raises):
+    # from x1 = 0.45 over t = 0.7 the trajectory crosses x1 = 1/2 and x1 = 1
     fld = transversal_fixture()
-    cfg = FlowSolverConfig(step=1e-3, max_crossings=1)
-    with pytest.raises(RunawayTrajectoryError):
-        integrate_flow(fld, cfg, np.array([[0.45, 0.0]]), [0.0, 0.7])
+    cfg = FlowSolverConfig(step=1e-3, max_crossings=budget)
+    pts = np.array([[0.45, 0.0]])
+    if raises:
+        with pytest.raises(RunawayTrajectoryError):
+            integrate_flow(fld, cfg, pts, [0.0, 0.7])
+    else:
+        ens = integrate_flow(fld, cfg, pts, [0.0, 0.7])
+        pos = ens.positions[ens.time_index(0.7)]
+        assert np.max(torus_distance(pos, oracle_transversal(pts, 0.7))) < 1e-9
+
+
+def test_cross_matches_pointwise_bisection():
+    # the vectorized resolver against a scalar first-touch bisection per point
+    fld = transversal_fixture()
+    rng = np.random.default_rng(9)
+    k = 12
+    h = rng.uniform(2e-3, 1e-2, k) * np.where(np.arange(k) % 2, 1.0, -1.0)
+    # forward steps start left of x1 = 1/2, backward ones right of it
+    gap = rng.uniform(0.05, 0.95, k) * np.abs(h)
+    y = np.stack([0.5 - np.sign(h) * gap, rng.random(k)], axis=-1)
+    logj = np.zeros(k)
+    normals, offsets = np.tile([1.0, 0.0], (k, 1)), np.full(k, 0.5)
+    y_new, _, used = flow._cross(fld, RK4, y, logj, h, np.ones(k), normals, offsets)
+    for i in range(k):
+        piece = fld.piece_index(y[i : i + 1])
+        fa = y[i, 0] - 0.5
+        a, b = 0.0, 1.0
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            y_mid, _ = flow._rk4_step(fld, y[i : i + 1], logj[i : i + 1],
+                                      h[i : i + 1] * mid, piece)
+            fm = float(wrap_half(y_mid[0, 0] - 0.5))
+            if abs(fm) <= RK4.event_tol or np.sign(fm) != np.sign(fa):
+                b = mid
+                if abs(fm) <= RK4.event_tol:
+                    break
+            else:
+                a = mid
+        assert used[i] == abs(h[i]) * b
+        assert y_new[i, 0] - 0.5 == pytest.approx(np.sign(h[i]) * 2e-12, abs=1e-15)
 
 
 def test_initial_point_on_surface_is_nudged():
