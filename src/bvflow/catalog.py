@@ -129,11 +129,20 @@ class JumpComponent:
 
 @dataclass(frozen=True)
 class Piece:
-    """A smooth piece: formula for b plus its closed-form Jacobian."""
+    """A smooth piece: formula for b plus its closed-form Jacobian, and
+    optionally the closed form of its divergence (by default the trace
+    of the Jacobian)."""
 
     name: str
     b: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
+    div: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def divergence(self, pts) -> np.ndarray:
+        """div b at each point, shape (M,)."""
+        if self.div is not None:
+            return self.div(pts)
+        return np.trace(self.jacobian(pts), axis1=-2, axis2=-1)
 
 
 @dataclass(frozen=True)
@@ -207,14 +216,12 @@ class PiecewiseField:
         """(b, div^a b) at each point, shapes (M, 2) and (M,), from one
         piece selection.  ``piece`` (one index per point) evaluates those
         pieces' smooth extensions instead of the active ones."""
-        def both(pc, p):
-            return pc.b(p), np.trace(pc.jacobian(p), axis1=-2, axis2=-1)
-
-        return self._per_piece(points, both, [(2,), ()], piece)
+        return self._per_piece(points, lambda pc, p: (pc.b(p), pc.divergence(p)),
+                               [(2,), ()], piece)
 
     def divergence_many(self, points) -> np.ndarray:
-        jac = self.jacobian_many(points)
-        return np.trace(jac, axis1=-2, axis2=-1)
+        """div^a b of the active piece at each point, shape (M,)."""
+        return self._per_piece(points, lambda pc, p: (pc.divergence(p),), [()])[0]
 
     # -- scalar evaluation with on-jump signalling -----------------------
 
@@ -299,7 +306,10 @@ def _const_piece(name, value) -> Piece:
     def jac(pts):
         return np.broadcast_to(zero, (pts.shape[0], 2, 2)).copy()
 
-    return Piece(name, b, jac)
+    def div(pts):
+        return np.zeros(pts.shape[0])
+
+    return Piece(name, b, jac, div)
 
 
 def _field_a() -> PiecewiseField:
@@ -314,7 +324,10 @@ def _field_a() -> PiecewiseField:
         out[:, 1, 0] = TWO_PI * np.cos(TWO_PI * pts[:, 0])
         return out
 
-    return PiecewiseField("A", "smooth", (Piece("cellular", b, jac),))
+    def div(pts):
+        return np.zeros(pts.shape[0])
+
+    return PiecewiseField("A", "smooth", (Piece("cellular", b, jac, div),))
 
 
 def _field_b() -> PiecewiseField:
@@ -328,7 +341,10 @@ def _field_b() -> PiecewiseField:
         out[:, 0, 0] = TWO_PI * np.cos(TWO_PI * pts[:, 0])
         return out
 
-    return PiecewiseField("B", "smooth", (Piece("compressive_smooth", b, jac),))
+    def div(pts):
+        return TWO_PI * np.cos(TWO_PI * pts[:, 0])
+
+    return PiecewiseField("B", "smooth", (Piece("compressive_smooth", b, jac, div),))
 
 
 def _strip_field(fid, classification, normal_int, plus_value, minus_value):

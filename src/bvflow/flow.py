@@ -8,12 +8,16 @@ Two solver methods:
     each point keeps its own remaining time, and every step is screened
     against the jump surfaces.  A sign change of the signed level value,
     or a step that stalls just short of a surface, sends the point to
-    one vectorized bisection of its own step down to ``event_tol``, a
-    transversality check of the one-sided traces, and a restart on the
-    receiving side with the rest of its time; the other points take
-    their full steps.  Tangential or opposing traces raise
-    :class:`NonTransversalCrossingError` (the trajectory would slide or
-    split; for field E this is the expected outcome).
+    one vectorized root solve for the fraction of its own step at which
+    an RK4 step on the piece it leaves ends within ``event_tol`` of the
+    surface: an Illinois secant when the full step brackets the surface
+    (exact after one step on a constant piece), first-touch bisection
+    when it does not.  Then come a transversality check of the one-sided
+    traces and a restart on the receiving side with the rest of its
+    time; the other points take their full steps.  Tangential or
+    opposing traces raise :class:`NonTransversalCrossingError` (the
+    trajectory would slide or split; for field E this is the expected
+    outcome).
 
 ``explicit_exact``
     Closed-form flows, available for B (separable 1-D dynamics), C and D
@@ -169,7 +173,8 @@ def _rk4_step(fld: PiecewiseField, y, logj, h, piece=None):
     extensions instead.  This is how steps that end on a jump surface
     are computed: the k4 stage of a mixed step would otherwise sample the
     far side of the surface and pollute the tangential components at
-    O(h) whenever the endpoint rounds across.
+    O(h) whenever the endpoint rounds across.  Returns (y, log J, k1),
+    k1 being b at the step's start.
     """
     hy = h if np.ndim(h) == 0 else h[:, None]
     k1, d1 = fld.eval_with_divergence(wrap_coords(y), piece)
@@ -178,7 +183,7 @@ def _rk4_step(fld: PiecewiseField, y, logj, h, piece=None):
     k4, d4 = fld.eval_with_divergence(wrap_coords(y + hy * k3), piece)
     y_new = y + (hy / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     logj_new = logj + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-    return y_new, logj_new
+    return y_new, logj_new, k1
 
 
 def _levels(normals, offsets, y):
@@ -384,7 +389,7 @@ def _advance(fld, cfg, y, logj, duration, crossings):
         remaining = abs(duration)
         while remaining > 1e-13:
             h = sgn * min(cfg.step, remaining)
-            y, logj = _rk4_step(fld, y, logj, h)
+            y, logj, _ = _rk4_step(fld, y, logj, h)
             remaining -= abs(h)
         return y, logj
     normals = np.array([j.normal_int for j in fld.jumps], dtype=float)
@@ -397,7 +402,7 @@ def _advance(fld, cfg, y, logj, duration, crossings):
             return y, logj
         h = np.where(live, sgn * np.minimum(cfg.step, remaining), 0.0)
         lev0 = _levels(normals, offsets, y)
-        y_try, logj_try = _rk4_step(fld, y, logj, h)
+        y_try, logj_try, b0 = _rk4_step(fld, y, logj, h)
         lev1 = _levels(normals, offsets, y_try)
         # sign change through zero, or an exact/near landing on the
         # surface (a step boundary can coincide with the crossing time)
@@ -407,7 +412,7 @@ def _advance(fld, cfg, y, logj, duration, crossings):
             & (np.abs(lev0) > tol)
         )
         # normal speed in the time direction, and the normal reach of a step
-        v_n = (normals @ fld.eval_many(wrap_coords(y)).T) * np.sign(h)
+        v_n = (normals @ b0.T) * np.sign(h)
         reach = np.abs(h) * np.abs(v_n)
         stalled = (
             ~crossed
@@ -437,9 +442,16 @@ def _cross(fld, cfg, y, logj, h, left, n, off):
     """Carry event points just past their surfaces.
 
     Point i meets the surface <x, n[i]> = off[i] (mod 1) within its step
-    h[i].  One vectorized first-touch bisection, on the piece each point
-    leaves, locates the fraction of the step at which |level| <=
-    event_tol (at most 80 halvings).  One RK4 step on that piece to the
+    h[i].  The root solve is on f(s), the level after one RK4 step of
+    h[i] s on the piece the point leaves, and stops at the first trial
+    fraction with |f| <= event_tol (at most 80 after the full step).  A
+    point whose full step reaches the surface (f(1) changes sign or
+    |f(1)| <= event_tol) is bracketed on [0, 1] and takes Illinois
+    secant points: regula falsi inside the bracket, halving the value
+    at an end that is kept twice in a row, which is exact after one
+    step when the piece is constant.  An unbracketed point (a stall or
+    a capture) bisects first-touch instead.  Each round steps only the
+    points still searching.  One RK4 step on that piece to the located
     fraction and a projection put the point on the surface.  Both
     one-sided traces must carry it across at a normal speed above 1e-10;
     otherwise :class:`NonTransversalCrossingError` is raised for the
@@ -447,26 +459,41 @@ def _cross(fld, cfg, y, logj, h, left, n, off):
     remaining time before the step).  The point is placed 2 event_tol on
     the receiving side.  Returns (y, logj, time used).
     """
+    tol = cfg.event_tol
     nn = np.sum(n * n, axis=1)[:, None]
-
-    def level(z):
-        return wrap_half(np.sum(z * n, axis=1) - off)
-
     pieces = fld.piece_index(wrap_coords(y))
+
+    def level(z, i=slice(None)):
+        return wrap_half(np.sum(z * n[i], axis=1) - off[i])
+
+    def pinned_level(frac, i=slice(None)):
+        return level(_rk4_step(fld, y[i], logj[i], h[i] * frac, pieces[i])[0], i)
+
     fa = level(y)
     lo, hi = np.zeros(y.shape[0]), np.ones(y.shape[0])
-    searching = np.ones(y.shape[0], dtype=bool)
+    flo, fhi = fa.copy(), pinned_level(1.0)
+    searching = np.abs(fhi) > tol
+    bracketed = ~searching | (np.sign(fhi) != np.sign(fa))
+    kept = np.zeros(y.shape[0])  # +1: the last round kept lo, -1: it kept hi
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = level(_rk4_step(fld, y, logj, h * mid, pieces)[0])
-        on = np.abs(fm) <= cfg.event_tol
-        reached = on | (np.sign(fm) != np.sign(fa))
-        hi = np.where(searching & reached, mid, hi)
-        lo = np.where(searching & ~reached, mid, lo)
-        searching &= ~on
-        if not searching.any():
+        idx = np.flatnonzero(searching)
+        if idx.size == 0:
             break
-    y_new, logj_new = _rk4_step(fld, y, logj, h * hi, pieces)
+        a, b, fl, fu = lo[idx], hi[idx], flo[idx], fhi[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sec = b - fu * (b - a) / (fu - fl)
+        frac = np.where(bracketed[idx] & (sec > a) & (sec < b), sec, 0.5 * (a + b))
+        fm = pinned_level(frac, idx)
+        on = np.abs(fm) <= tol
+        reached = on | (np.sign(fm) != np.sign(fa[idx]))
+        # Illinois: an end kept a second time in a row has its value halved
+        flo[idx] = np.where(reached, np.where(kept[idx] > 0, 0.5 * fl, fl), fm)
+        fhi[idx] = np.where(reached, fm, np.where(kept[idx] < 0, 0.5 * fu, fu))
+        lo[idx] = np.where(reached, a, frac)
+        hi[idx] = np.where(reached, frac, b)
+        kept[idx] = np.where(reached, 1.0, -1.0)
+        searching[idx] = ~on
+    y_new, logj_new, _ = _rk4_step(fld, y, logj, h * hi, pieces)
     direction = np.sign(-fa)[:, None]
     x_surf = y_new - level(y_new)[:, None] * n / nn
     probe = direction * (2.0 * cfg.event_tol) * n / nn

@@ -596,19 +596,22 @@ def eqfin_residual(flow_x, flow_y, field, t, n_x=128, dt=1e-3) -> float:
 
 
 def discrepancy_report(flow_x, flow_y, field, kernel, cfg: FunctionalConfig,
-                       t: float) -> DiscrepancyReport:
+                       t: float, singular_unit: float | None = None) -> DiscrepancyReport:
     """Assemble one report row (all functional values at one time).
 
     One pair sweep over {t - dt, t, t + dt} gives D, I1 and I2 at t and
     the central difference of D; one L^1 grid evaluated at the same three
     times gives the eqfin residual, the I2 limit and the density bound
-    C(t) of the singular majorant.
+    C(t) of the singular majorant.  The majorant is C(t)^2 times its
+    C(t) = 1 value, ``singular_unit``, computed here unless given.
     """
     t, dt = float(t), cfg.dt_fd
     times = [t - dt, t, t + dt]
     parts = pair_integrals_multi(flow_x, flow_y, field, kernel, cfg, times,
                                  want=("D", "I1", "I2"))
     l1 = _l1_integrals(flow_x, flow_y, field, times, cfg.n_x)
+    if singular_unit is None:
+        singular_unit = singular_bound(field, kernel)
     return DiscrepancyReport(
         field_id=field.id,
         epsilon=cfg.epsilon,
@@ -619,7 +622,7 @@ def discrepancy_report(flow_x, flow_y, field, kernel, cfg: FunctionalConfig,
         I1=parts[t]["I1"],
         I2=parts[t]["I2"],
         I2_a_limit=l1[t]["DIV"],
-        singular_bound=singular_bound(field, kernel, c_t=l1[t]["C"]),
+        singular_bound=l1[t]["C"] ** 2 * singular_unit,
         eqfin_residual=_eqfin(l1, t, dt),
         n_x=cfg.n_x,
         n_z=cfg.n_z,

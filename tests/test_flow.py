@@ -388,35 +388,95 @@ def test_max_crossings_guard(budget, raises):
         assert np.max(torus_distance(pos, oracle_transversal(pts, 0.7))) < 1e-9
 
 
-def test_cross_matches_pointwise_bisection():
-    # the vectorized resolver against a scalar first-touch bisection per point
-    fld = transversal_fixture()
-    rng = np.random.default_rng(9)
-    k = 12
-    h = rng.uniform(2e-3, 1e-2, k) * np.where(np.arange(k) % 2, 1.0, -1.0)
-    # forward steps start left of x1 = 1/2, backward ones right of it
-    gap = rng.uniform(0.05, 0.95, k) * np.abs(h)
+def crossing_steps(k, seed, h_range=(2e-3, 1e-2), reach=0.95):
+    """k steps of mixed sign, each meeting x1 = 1/2: forward steps start
+    left of the surface, backward ones right of it, a distance gap (at
+    unit normal speed, the crossing time) of up to reach |h| short of it."""
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(*h_range, k) * np.where(np.arange(k) % 2, 1.0, -1.0)
+    gap = rng.uniform(0.05, reach, k) * np.abs(h)
     y = np.stack([0.5 - np.sign(h) * gap, rng.random(k)], axis=-1)
-    logj = np.zeros(k)
+    return h, gap, y
+
+
+def cross_at_half(fld, h, y):
+    k = len(h)
     normals, offsets = np.tile([1.0, 0.0], (k, 1)), np.full(k, 0.5)
-    y_new, _, used = flow._cross(fld, RK4, y, logj, h, np.ones(k), normals, offsets)
-    for i in range(k):
-        piece = fld.piece_index(y[i : i + 1])
-        fa = y[i, 0] - 0.5
-        a, b = 0.0, 1.0
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            y_mid, _ = flow._rk4_step(fld, y[i : i + 1], logj[i : i + 1],
-                                      h[i : i + 1] * mid, piece)
-            fm = float(wrap_half(y_mid[0, 0] - 0.5))
-            if abs(fm) <= RK4.event_tol or np.sign(fm) != np.sign(fa):
-                b = mid
-                if abs(fm) <= RK4.event_tol:
-                    break
-            else:
-                a = mid
-        assert used[i] == abs(h[i]) * b
+    return flow._cross(fld, RK4, y, np.zeros(k), h, np.ones(k), normals, offsets)
+
+
+def test_cross_locates_closed_form_crossing():
+    # on the fixture x1 moves at unit speed, so the crossing time is gap
+    h, gap, y = crossing_steps(12, seed=9)
+    y_new, _, used = cross_at_half(transversal_fixture(), h, y)
+    assert np.max(np.abs(used - gap)) <= 2.0 * RK4.event_tol
+    for i in range(len(h)):
         assert y_new[i, 0] - 0.5 == pytest.approx(np.sign(h[i]) * 2e-12, abs=1e-15)
+
+
+def test_cross_pinned_steps_on_constant_pieces(monkeypatch):
+    # the level of a pinned step is linear in the fraction on a constant
+    # piece: the full step, one secant point and the final step
+    calls = []
+    rk4_step = flow._rk4_step
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rk4_step(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_rk4_step", counting)
+    h, _, y = crossing_steps(12, seed=9)
+    cross_at_half(transversal_fixture(), h, y)
+    assert 0 < len(calls) <= 3
+
+
+def curved_fixture():
+    # the normal speed 1 + 0.4 sin 2 pi x1 varies along a step, so the
+    # level of a pinned step is curved in the step fraction; the traces
+    # differ only tangentially, so every crossing is transversal
+    def piece(name, sign):
+        def b(p):
+            s = TWO_PI * p[:, 0]
+            return np.stack([1.0 + 0.4 * np.sin(s), sign * (0.5 + 0.3 * np.cos(s))], axis=-1)
+
+        def jac(p):
+            s = TWO_PI * p[:, 0]
+            out = np.zeros((p.shape[0], 2, 2))
+            out[:, 0, 0] = 0.4 * TWO_PI * np.cos(s)
+            out[:, 1, 0] = -sign * 0.3 * TWO_PI * np.sin(s)
+            return out
+
+        return catalog.Piece(name, b, jac)
+
+    def jump(offset, b_plus, b_minus):
+        diff = np.subtract(b_plus, b_minus)
+        sigma = float(np.linalg.norm(diff))
+        return catalog.JumpComponent((1, 0), offset, (1.0, 0.0), tuple(diff / sigma),
+                                     sigma, b_plus, b_minus)
+
+    return catalog.PiecewiseField(
+        "S", "bv", (piece("lower", 1.0), piece("upper", -1.0)),
+        (jump(0.0, (1.0, 0.8), (1.0, -0.8)), jump(0.5, (1.0, -0.2), (1.0, 0.2))),
+        strip_normal=(1, 0), strip_bounds=(0.0, 0.5),
+    )
+
+
+def test_cross_on_curved_level():
+    fld = curved_fixture()
+    # at normal speeds in [0.6, 1.4] a start 0.55 |h| short of the
+    # surface reaches it within the step
+    h, _, y = crossing_steps(16, seed=10, h_range=(0.02, 0.1), reach=0.55)
+    y_new, _, used = cross_at_half(fld, h, y)
+    assert np.all(used > 0) and np.all(used < np.abs(h))
+    landed, _, _ = flow._rk4_step(fld, y, np.zeros(len(h)), np.sign(h) * used,
+                                  fld.piece_index(y))
+    assert np.max(np.abs(wrap_half(landed[:, 0] - 0.5))) <= RK4.event_tol
+    assert np.all(np.sign(y_new[:, 0] - 0.5) == np.sign(h))
+    # whole trajectories, forward and backward, against a step of 1e-4
+    pts = np.random.default_rng(10).random((32, 2))
+    coarse, fine = (integrate_flow(fld, FlowSolverConfig(step=step), pts, [-0.3, 0.0, 0.4])
+                    for step in (2e-3, 1e-4))
+    assert np.max(torus_distance(coarse.positions, fine.positions)) < 1e-9
 
 
 def test_initial_point_on_surface_is_nudged():
