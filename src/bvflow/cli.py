@@ -5,12 +5,14 @@ Subcommands: ``catalog``, ``run <config>``, ``sweep <config>``,
 
 Exit codes: 0 success, 1 failed checks, 2 configuration or validation
 errors, 3 numerical failures (NaN in a quadrature, non-transversal
-crossing).
+crossing).  Any scenario value that ``run`` rejects exits 2 with a
+``config error:`` line naming its key, before any output is written.
 
 ``--threads`` (or the RFL_THREADS environment variable) caps the thread
-pools of the numerical backends; it is applied before numpy is imported,
-which is why the heavy imports below live inside functions.  Results do
-not depend on the thread count.
+pools of the numerical backends, overriding any preset
+``OMP_NUM_THREADS``-style variable; it is applied before numpy is
+imported, which is why the heavy imports below live inside functions.
+Results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def _apply_threads(n):
         "MKL_NUM_THREADS",
         "NUMEXPR_NUM_THREADS",
     ):
-        os.environ.setdefault(var, n)
+        os.environ[var] = n
 
 
 def _cmd_catalog(_args) -> int:

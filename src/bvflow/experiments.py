@@ -30,6 +30,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,14 +53,19 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Configuration parse/validation failure; carries key and line."""
+    """Configuration parse/validation failure; carries key and line.
+
+    ``key`` is a tuple of keys when the rejected value was checked
+    together with others.
+    """
 
     def __init__(self, message, key=None, line=None):
         self.key = key
         self.line = line
         loc = []
         if key is not None:
-            loc.append(f"key {key!r}")
+            keys = (key,) if isinstance(key, str) else key
+            loc.append("key " + " or ".join(repr(k) for k in keys))
         if line is not None:
             loc.append(f"line {line}")
         suffix = f" ({', '.join(loc)})" if loc else ""
@@ -104,46 +110,6 @@ class ScenarioConfig:
         "seed": ("seed", int),
     }
 
-    def validate(self) -> None:
-        if self.field_id not in cat.FIELD_IDS:
-            raise ConfigError(
-                f"unknown field_id {self.field_id!r}; catalog ids are "
-                f"{', '.join(cat.FIELD_IDS)}",
-                key="field_id",
-            )
-        if self.kernel_profile not in PROFILES:
-            raise ConfigError(
-                f"unknown kernel.profile {self.kernel_profile!r}",
-                key="kernel.profile",
-            )
-        if self.kernel_eta_kind not in ("constant", "mollified_normal"):
-            raise ConfigError(
-                f"unknown kernel.eta_kind {self.kernel_eta_kind!r}",
-                key="kernel.eta_kind",
-            )
-        if self.solver_method not in ("rk4_event", "explicit_exact"):
-            raise ConfigError(
-                f"unknown solver.method {self.solver_method!r}",
-                key="solver.method",
-            )
-        for name, values in (
-            ("functional.gamma", self.gammas),
-            ("functional.epsilon", self.epsilons),
-            ("functional.t", self.t_values),
-        ):
-            if len(values) == 0:
-                raise ConfigError("list must be nonempty", key=name)
-        for e in self.epsilons:
-            if not 0.0 < e < 0.5:
-                raise ConfigError(
-                    f"epsilon {e} outside (0, 1/2): scaled support must fit "
-                    "the torus",
-                    key="functional.epsilon",
-                )
-        for g in self.gammas:
-            if g < 0:
-                raise ConfigError("gamma must be nonnegative", key="functional.gamma")
-
     def echo_lines(self):
         def fmt(v):
             if isinstance(v, float):
@@ -158,13 +124,6 @@ class ScenarioConfig:
             else:
                 lines.append(f"{key} = {fmt(v)}")
         return lines
-
-    def direction_field(self) -> DirectionField:
-        if self.kernel_eta_kind == "constant":
-            return DirectionField.constant(self.kernel_eta_params)
-        source_id = self.field_id if cat.get_field(self.field_id).has_jumps else "C"
-        width = self.kernel_eta_params[0] if self.kernel_eta_params else 0.2
-        return DirectionField.mollified_normal(cat.get_field(source_id), width)
 
 
 def parse_config(path) -> ScenarioConfig:
@@ -198,8 +157,73 @@ def parse_config(path) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"bad value {value!r}: {exc}", key=key, line=lineno)
         setattr(cfg, attr, parsed)
-    cfg.validate()
+    _build(cfg)
     return cfg
+
+
+@contextmanager
+def _named(*keys):
+    """Re-raise a constructor's rejection as a ConfigError naming the
+    scenario keys the rejected value came from."""
+    key = keys[0] if len(keys) == 1 else keys
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"bad value: {exc.args[0]}", key=key) from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc), key=key) from exc
+
+
+def _build(cfg: ScenarioConfig):
+    """Construct each library object of a scenario once: the field, its
+    two flow maps, a kernel per gamma and a FunctionalConfig per epsilon.
+
+    The library constructors do the validation; only what none of them
+    sees (empty lists, the direction kind) is checked here.
+    """
+    for key, values in (
+        ("functional.gamma", cfg.gammas),
+        ("functional.epsilon", cfg.epsilons),
+        ("functional.t", cfg.t_values),
+    ):
+        if len(values) == 0:
+            raise ConfigError("list must be nonempty", key=key)
+    if cfg.kernel_eta_kind not in ("constant", "mollified_normal"):
+        raise ConfigError(
+            f"unknown kernel.eta_kind {cfg.kernel_eta_kind!r}", key="kernel.eta_kind"
+        )
+    with _named("field_id"):
+        fld = cat.get_field(cfg.field_id)
+    with _named("kernel.profile"):
+        profile = PROFILES[cfg.kernel_profile]
+    with _named("solver.*"):
+        solver = flow_mod.FlowSolverConfig(
+            step=cfg.solver_step,
+            method=cfg.solver_method,
+            event_tol=cfg.solver_event_tol,
+            max_crossings=cfg.solver_max_crossings,
+        )
+    with _named("field_id", "solver.method"):
+        flow_x = flow_mod.make_flow_map(fld, cfg.solver_method, solver)
+    # second flow: the other solver route when one exists
+    flow_y = flow_mod.ExactFlowMap(fld) if fld.has_jumps or fld.id == "B" else flow_x
+    with _named("kernel.eta_params"):
+        if cfg.kernel_eta_kind == "constant":
+            eta = DirectionField.constant(cfg.kernel_eta_params)
+        else:
+            source = fld if fld.has_jumps else cat.get_field("C")
+            width = cfg.kernel_eta_params[0] if cfg.kernel_eta_params else 0.2
+            eta = DirectionField.mollified_normal(source, width)
+    with _named("functional.gamma", "kernel.eta_params"):
+        kernels = {float(g): AnisotropicKernel(profile, eta, float(g)) for g in cfg.gammas}
+    with _named("functional.*"):
+        fcfgs = {
+            float(e): fn.FunctionalConfig(
+                epsilon=float(e), n_x=cfg.n_x, n_z=cfg.n_z, dt_fd=cfg.dt_fd
+            )
+            for e in cfg.epsilons
+        }
+    return fld, flow_x, flow_y, kernels, fcfgs
 
 
 @dataclass
@@ -243,23 +267,6 @@ def fit_rate(y, x):
     return float(coef[0]), stderr
 
 
-def _scenario_flows(cfg: ScenarioConfig):
-    fld = cat.get_field(cfg.field_id)
-    solver = flow_mod.FlowSolverConfig(
-        step=cfg.solver_step,
-        method=cfg.solver_method,
-        event_tol=cfg.solver_event_tol,
-        max_crossings=cfg.solver_max_crossings,
-    )
-    flow_x = flow_mod.make_flow_map(fld, cfg.solver_method, solver)
-    # second flow: the other solver route when one exists
-    if fld.has_jumps or fld.id == "B":
-        flow_y = flow_mod.ExactFlowMap(fld)
-    else:
-        flow_y = flow_x
-    return fld, flow_x, flow_y
-
-
 def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
     """Execute a scenario; writes report.csv, sweep.csv and meta.
 
@@ -267,29 +274,20 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
     crossings) propagate to the caller; the CLI maps them to exit 3.
     """
     t_start = time.time()
+    fld, flow_x, flow_y, kernels, fcfgs = _build(cfg)
     out = out_dir or cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    fld, flow_x, flow_y = _scenario_flows(cfg)
-    eta = cfg.direction_field()
-    profile = PROFILES[cfg.kernel_profile]
 
     # the singular majorant at C(t) = 1, once per gamma: a report row
     # scales it by C(t)^2 and the sweep takes it as it is
-    singular_unit = {
-        float(g): fn.singular_bound(fld, AnisotropicKernel(profile, eta, float(g)))
-        for g in cfg.gammas
-    }
+    singular_unit = {g: fn.singular_bound(fld, k) for g, k in kernels.items()}
     rows = []
     for eps in cfg.epsilons:
         for gamma in cfg.gammas:
-            kernel = AnisotropicKernel(profile, eta, float(gamma))
-            fcfg = fn.FunctionalConfig(
-                epsilon=float(eps), n_x=cfg.n_x, n_z=cfg.n_z, dt_fd=cfg.dt_fd
-            )
             for t in cfg.t_values:
                 rows.append(
-                    fn.discrepancy_report(flow_x, flow_y, fld, kernel, fcfg, float(t),
-                                          singular_unit=singular_unit[float(gamma)])
+                    fn.discrepancy_report(flow_x, flow_y, fld, kernels[gamma], fcfgs[eps],
+                                          float(t), singular_unit=singular_unit[gamma])
                 )
 
     report_path = os.path.join(out, "report.csv")
@@ -301,20 +299,15 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
     sweeps = []
     if len(cfg.gammas) >= 3 and fld.has_jumps:
         g = np.asarray(cfg.gammas, dtype=float)
-        sb = np.array([singular_unit[float(gv)] for gv in g])
+        sb = np.array([singular_unit[gv] for gv in g])
         sweeps.append(
             SweepResult("singular_bound", "1+gamma", 1.0 + g, sb).fit()
         )
     if len(cfg.epsilons) >= 3:
         e = np.asarray(sorted(cfg.epsilons), dtype=float)
         t0 = float(cfg.t_values[0])
-        kernel = AnisotropicKernel(profile, eta, float(cfg.gammas[0]))
-        d_vals = []
-        for ev in e:
-            fcfg = fn.FunctionalConfig(
-                epsilon=float(ev), n_x=cfg.n_x, n_z=cfg.n_z, dt_fd=cfg.dt_fd
-            )
-            d_vals.append(fn.discrepancy_D(flow_x, flow_y, fld, kernel, fcfg, t0))
+        kernel = kernels[cfg.gammas[0]]
+        d_vals = [fn.discrepancy_D(flow_x, flow_y, fld, kernel, fcfgs[ev], t0) for ev in e]
         sweeps.append(SweepResult("D", "epsilon", e, np.asarray(d_vals)).fit())
 
     sweep_path = os.path.join(out, "sweep.csv")
@@ -330,7 +323,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
     # seeded spot check: the integration-by-parts identity at random
     # off-jump points, with the scenario's kernel at its first gamma
     rng = np.random.default_rng(cfg.seed)
-    kernel = AnisotropicKernel(profile, eta, float(cfg.gammas[0]))
+    kernel = kernels[cfg.gammas[0]]
     spot = 0.0
     tried = 0
     while tried < 10:
@@ -558,10 +551,7 @@ def run_checks(fast: bool = True):
     )
     grid96 = QuadratureGrid.torus(96).nodes
     fld_b = cat.get_field("B")
-    axis256 = (np.arange(256) + 0.5) / 256
-    grid_b = np.stack(
-        np.meshgrid(axis256, axis256[:4], indexing="ij"), axis=-1
-    ).reshape(-1, 2)
+    grid_b = QuadratureGrid.torus(256).nodes.reshape(256, 256, 2)[:, :4].reshape(-1, 2)
     exact_cfg = flow_mod.FlowSolverConfig(method="explicit_exact")
     ens_b = flow_mod.integrate_flow(fld_b, exact_cfg, grid_b, [0.0, 0.5])
     mass = flow_mod.density_from_flow(ens_b, 0.5).total_mass()

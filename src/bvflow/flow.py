@@ -862,7 +862,5 @@ def make_flow_map(fld: PiecewiseField, method: str = "auto",
     if fld.has_jumps:
         return ExactFlowMap(fld)
     if method == "explicit_exact" or (method == "auto" and fld.id == "B"):
-        if fld.id == "A":
-            raise ValueError("field A has no closed-form flow map")
         return ExactFlowMap(fld)
     return InterpolatedFlowMap(fld, cfg, grid_n)

@@ -99,6 +99,8 @@ class FunctionalConfig:
                 "epsilon must lie in (0, 1/2) so the scaled kernel support "
                 "fits the torus"
             )
+        if self.n_x < 1 or self.n_z < 1:
+            raise ValueError("n_x and n_z must be at least 1")
         if self.dt_fd <= 0:
             raise ValueError("dt_fd must be positive")
 
@@ -643,12 +645,10 @@ class UniquenessReport:
     final_discrepancy: float
     verdict: str
     branch_discrepancy: float = float("nan")
-    row: DiscrepancyReport | None = None
 
 
 def uniqueness_report(field, flow_x, flow_y, kernel, cfg: FunctionalConfig,
-                      T: float, n_times: int = 6, tol: float = 1e-5,
-                      with_row: bool = False) -> UniquenessReport:
+                      T: float, n_times: int = 6, tol: float = 1e-5) -> UniquenessReport:
     """Run the Gronwall pipeline on two flows over [0, T].
 
     For fields whose jump data violates <xi_b, eta_b> = 0 (divergence
@@ -693,9 +693,6 @@ def uniqueness_report(field, flow_x, flow_y, kernel, cfg: FunctionalConfig,
     gronwall_rhs = float(np.exp(div_sup * T) * (l_values[0] + accumulated))
     final = float(l_values[-1])
     verdict = "UNIQUE" if final <= tol else "INCONCLUSIVE"
-    row = None
-    if with_row:
-        row = discrepancy_report(flow_x, flow_y, field, kernel, cfg, T / 2.0)
     return UniquenessReport(
         field_id=field.id,
         times=times,
@@ -706,5 +703,4 @@ def uniqueness_report(field, flow_x, flow_y, kernel, cfg: FunctionalConfig,
         gronwall_rhs=gronwall_rhs,
         final_discrepancy=final,
         verdict=verdict,
-        row=row,
     )

@@ -214,6 +214,11 @@ class AnisotropicKernel:
     def __post_init__(self):
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
+        if self.eta.is_constant and len(self.eta.vector) != self.dim:
+            raise ValueError(
+                f"direction vector has dimension {len(self.eta.vector)}, "
+                f"kernel has {self.dim}"
+            )
 
     @property
     def det_u(self) -> float:
@@ -222,12 +227,7 @@ class AnisotropicKernel:
 
     def _eta_at(self, x, m: int) -> np.ndarray:
         if self.eta.is_constant:
-            v = np.asarray(self.eta.vector, dtype=float)
-            if v.size != self.dim:
-                raise ValueError(
-                    f"direction vector has dimension {v.size}, kernel has {self.dim}"
-                )
-            return np.broadcast_to(v, (m, self.dim))
+            return np.broadcast_to(np.asarray(self.eta.vector, dtype=float), (m, self.dim))
         if x is None:
             raise ValueError("position-dependent eta needs x")
         return self.eta.eta(x)

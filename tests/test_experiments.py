@@ -144,6 +144,37 @@ def test_cli_unknown_field_exits_2(tmp_path):
     assert "field_id" in res.stderr
 
 
+# values the library constructors reject; each is named by its key
+REJECTED = (
+    ("solver.step = -1", "solver."),
+    ("solver.event_tol = 1", "solver."),
+    ("functional.dt_fd = 0", "functional."),
+    ("field_id = A\nsolver.method = explicit_exact", "solver.method"),
+    ("functional.n_x = 0", "functional."),
+    ("functional.n_z = 0", "functional."),
+    ("kernel.eta_params = 0 0", "kernel.eta_params"),
+    ("kernel.eta_params = 1 0 0", "kernel.eta_params"),
+    ("kernel.eta_params = 1", "kernel.eta_params"),
+)
+
+
+@pytest.mark.parametrize("lines,key", REJECTED,
+                         ids=[r[0].replace(" = ", "=").replace("\n", ";").replace(" ", "_")
+                              for r in REJECTED])
+def test_cli_rejected_value_exits_2(tmp_path, capsys, monkeypatch, lines, key):
+    from bvflow import cli
+
+    monkeypatch.delenv("RFL_THREADS", raising=False)
+    out = tmp_path / "out"
+    p = write_cfg(tmp_path, MINIMAL + f"output.dir = {out}\n{lines}\n")
+    assert cli.main(["run", p]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert key in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_numerical_failure_exits_3(tmp_path):
     # field E backward in time: the non-transversal crossing surfaces
     text = MINIMAL.replace("field_id = C", "field_id = E").replace(
@@ -173,10 +204,15 @@ def test_rfl_threads_env_accepted(tmp_path):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="counts threads through /proc/self/task")
-def test_threads_flag_caps_blas_pools():
-    # the flag must take effect before numpy loads, so no variable is preset
+@pytest.mark.parametrize(
+    "preset", [{}, {"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "2"}],
+    ids=["none", "pools_preset_2"],
+)
+def test_threads_flag_caps_blas_pools(preset):
+    # the flag must take effect before numpy loads, and over preset variables
     env = {k: v for k, v in os.environ.items()
            if not k.endswith("_NUM_THREADS") and k != "RFL_THREADS"}
+    env.update(preset)
     code = (
         "import os\n"
         "from bvflow import cli\n"

@@ -89,6 +89,10 @@ def test_functional_config_validation():
         fn.FunctionalConfig(epsilon=0.5)
     with pytest.raises(ValueError):
         fn.FunctionalConfig(epsilon=0.05, dt_fd=0.0)
+    with pytest.raises(ValueError):
+        fn.FunctionalConfig(epsilon=0.05, n_x=0)
+    with pytest.raises(ValueError):
+        fn.FunctionalConfig(epsilon=0.05, n_z=0)
 
 
 def test_discrepancy_at_time_zero_matches_first_moment():

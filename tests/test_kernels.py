@@ -234,6 +234,11 @@ def test_direction_field_unit_norm_and_jacobian():
     assert np.max(np.abs(normals - eta_b)) < 1e-14
 
 
+def test_constant_direction_dimension_checked_at_construction():
+    with pytest.raises(ValueError, match="dimension 3"):
+        AnisotropicKernel(poly_bump, DirectionField.constant((1.0, 0.0, 0.0)), 1.0)
+
+
 def test_mollified_normal_requires_jumps():
     with pytest.raises(ValueError):
         DirectionField.mollified_normal(catalog.get_field("A"), 0.1)
