@@ -77,8 +77,6 @@ class ScenarioConfig:
     field_id: str = "C"
     solver_method: str = "rk4_event"
     solver_step: float = 1e-3
-    solver_event_tol: float = 1e-12
-    solver_max_crossings: int = 1000
     kernel_profile: str = "poly_bump"
     kernel_eta_kind: str = "constant"
     kernel_eta_params: tuple = (1.0, 0.0)
@@ -95,8 +93,6 @@ class ScenarioConfig:
         "field_id": ("field_id", str),
         "solver.method": ("solver_method", str),
         "solver.step": ("solver_step", float),
-        "solver.event_tol": ("solver_event_tol", float),
-        "solver.max_crossings": ("solver_max_crossings", int),
         "kernel.profile": ("kernel_profile", str),
         "kernel.eta_kind": ("kernel_eta_kind", str),
         "kernel.eta_params": ("kernel_eta_params", "floats"),
@@ -179,7 +175,8 @@ def _build(cfg: ScenarioConfig):
     two flow maps, a kernel per gamma and a FunctionalConfig per epsilon.
 
     The library constructors do the validation; only what none of them
-    sees (empty lists, the direction kind) is checked here.
+    sees (empty lists, the direction kind, the width's value count) is
+    checked here.
     """
     for key, values in (
         ("functional.gamma", cfg.gammas),
@@ -192,19 +189,18 @@ def _build(cfg: ScenarioConfig):
         raise ConfigError(
             f"unknown kernel.eta_kind {cfg.kernel_eta_kind!r}", key="kernel.eta_kind"
         )
+    if cfg.kernel_eta_kind == "mollified_normal" and len(cfg.kernel_eta_params) != 1:
+        raise ConfigError(
+            "mollified_normal takes one value, the width", key="kernel.eta_params"
+        )
     with _named("field_id"):
         fld = cat.get_field(cfg.field_id)
     with _named("kernel.profile"):
         profile = PROFILES[cfg.kernel_profile]
     with _named("solver.*"):
-        solver = flow_mod.FlowSolverConfig(
-            step=cfg.solver_step,
-            method=cfg.solver_method,
-            event_tol=cfg.solver_event_tol,
-            max_crossings=cfg.solver_max_crossings,
-        )
+        solver = flow_mod.FlowSolverConfig(step=cfg.solver_step, method=cfg.solver_method)
     with _named("field_id", "solver.method"):
-        flow_x = flow_mod.make_flow_map(fld, cfg.solver_method, solver)
+        flow_x = flow_mod.make_flow_map(fld, solver)
     # second flow: the other solver route when one exists
     flow_y = flow_mod.ExactFlowMap(fld) if fld.has_jumps or fld.id == "B" else flow_x
     with _named("kernel.eta_params"):
@@ -212,8 +208,7 @@ def _build(cfg: ScenarioConfig):
             eta = DirectionField.constant(cfg.kernel_eta_params)
         else:
             source = fld if fld.has_jumps else cat.get_field("C")
-            width = cfg.kernel_eta_params[0] if cfg.kernel_eta_params else 0.2
-            eta = DirectionField.mollified_normal(source, width)
+            eta = DirectionField.mollified_normal(source, cfg.kernel_eta_params[0])
     with _named("functional.gamma", "kernel.eta_params"):
         kernels = {float(g): AnisotropicKernel(profile, eta, float(g)) for g in cfg.gammas}
     with _named("functional.*"):

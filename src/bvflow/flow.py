@@ -9,15 +9,16 @@ Two solver methods:
     against the jump surfaces.  A sign change of the signed level value,
     or a step that stalls just short of a surface, sends the point to
     one vectorized root solve for the fraction of its own step at which
-    an RK4 step on the piece it leaves ends within ``event_tol`` of the
-    surface: an Illinois secant when the full step brackets the surface
-    (exact after one step on a constant piece), first-touch bisection
-    when it does not.  Then come a transversality check of the one-sided
+    an RK4 step on the piece it leaves ends within ``catalog.TAU_SIGMA``
+    of the surface: an Illinois secant when the full step brackets the
+    surface (exact after one step on a constant piece), first-touch
+    bisection when it does not.  Then come a transversality check of the one-sided
     traces and a restart on the receiving side with the rest of its
     time; the other points take their full steps.  Tangential or
     opposing traces raise :class:`NonTransversalCrossingError` (the
     trajectory would slide or split; for field E this is the expected
-    outcome).
+    outcome), and a trajectory with more than :data:`MAX_CROSSINGS`
+    crossings raises :class:`RunawayTrajectoryError`.
 
 ``explicit_exact``
     Closed-form flows, available for B (separable 1-D dynamics), C and D
@@ -55,7 +56,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import catalog
-from .catalog import PiecewiseField, get_field
+from .catalog import PiecewiseField
 from .torus import QuadratureGrid, torus_distance, wrap_coords, wrap_half
 
 __all__ = [
@@ -76,11 +77,13 @@ __all__ = [
     "InterpolatedFlowMap",
     "DirectFlowMap",
     "make_flow_map",
+    "MAX_CROSSINGS",
 ]
 
 logger = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * np.pi
+MAX_CROSSINGS = 1000  # per-trajectory crossing budget of rk4_event
 
 
 class NonTransversalCrossingError(RuntimeError):
@@ -99,24 +102,21 @@ class NonTransversalCrossingError(RuntimeError):
 
 
 class RunawayTrajectoryError(RuntimeError):
-    """A trajectory exceeded the configured crossing budget."""
+    """A trajectory crossed jump surfaces more than :data:`MAX_CROSSINGS`
+    times."""
 
 
 @dataclass(frozen=True)
 class FlowSolverConfig:
-    """Solver parameters; ``event_tol`` bounds the level value at a located
-    crossing and must not exceed the step."""
+    """Solver parameters.  A located crossing has a level value within
+    ``catalog.TAU_SIGMA``, so the step must not be below it."""
 
     step: float = 1e-3
     method: str = "rk4_event"
-    event_tol: float = 1e-12
-    max_crossings: int = 1000
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.event_tol <= 0 or self.event_tol > self.step:
-            raise ValueError("event_tol must satisfy 0 < event_tol <= step")
+        if self.step < catalog.TAU_SIGMA:
+            raise ValueError(f"step must be at least TAU_SIGMA = {catalog.TAU_SIGMA}")
         if self.method not in ("rk4_event", "explicit_exact"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -130,7 +130,7 @@ class FlowEnsemble:
     is what the interpolating flow maps consume).
     """
 
-    field_id: str
+    field: PiecewiseField
     config: FlowSolverConfig
     initial_points: np.ndarray  # (M, 2)
     times: np.ndarray  # (T,)
@@ -335,8 +335,7 @@ def integrate_flow(fld: PiecewiseField, cfg: FlowSolverConfig, initial_points,
             displacements[k] = disp
             positions[k] = wrap_coords(pts0 + disp)
             log_jacobian[k] = logj
-        return FlowEnsemble(fld.id, cfg, pts0, times, positions, displacements,
-                            log_jacobian)
+        return FlowEnsemble(fld, cfg, pts0, times, positions, displacements, log_jacobian)
 
     # rk4_event: forward chain over nonnegative times, backward over negatives
     y0 = _nudge_initial_points(fld, pts0.copy())
@@ -361,8 +360,7 @@ def integrate_flow(fld: PiecewiseField, cfg: FlowSolverConfig, initial_points,
     log_jacobian[zero_idx] = 0.0
     run_chain([k for k in order if times[k] > 0])
     run_chain([k for k in reversed(order) if times[k] < 0])
-    return FlowEnsemble(fld.id, cfg, pts0, times, positions, displacements,
-                        log_jacobian)
+    return FlowEnsemble(fld, cfg, pts0, times, positions, displacements, log_jacobian)
 
 
 def _advance(fld, cfg, y, logj, duration, crossings):
@@ -394,7 +392,7 @@ def _advance(fld, cfg, y, logj, duration, crossings):
         return y, logj
     normals = np.array([j.normal_int for j in fld.jumps], dtype=float)
     offsets = np.array([j.offset for j in fld.jumps])
-    tol = cfg.event_tol
+    tol = catalog.TAU_SIGMA
     remaining = np.full(y.shape[0], abs(duration))
     while True:
         live = remaining > 1e-13
@@ -426,27 +424,27 @@ def _advance(fld, cfg, y, logj, duration, crossings):
         if hit.size:
             surf = np.argmax(events[:, hit], axis=0)
             y_try[hit], logj_try[hit], used[hit] = _cross(
-                fld, cfg, y[hit], logj[hit], h[hit], remaining[hit],
+                fld, y[hit], logj[hit], h[hit], remaining[hit],
                 normals[surf], offsets[surf],
             )
             crossings[hit] += 1
-            if crossings[hit].max() > cfg.max_crossings:
+            if crossings[hit].max() > MAX_CROSSINGS:
                 raise RunawayTrajectoryError(
-                    f"field {fld.id}: trajectory exceeded {cfg.max_crossings} crossings"
+                    f"field {fld.id}: trajectory exceeded {MAX_CROSSINGS} crossings"
                 )
         y, logj = y_try, logj_try
         remaining -= used
 
 
-def _cross(fld, cfg, y, logj, h, left, n, off):
+def _cross(fld, y, logj, h, left, n, off):
     """Carry event points just past their surfaces.
 
     Point i meets the surface <x, n[i]> = off[i] (mod 1) within its step
     h[i].  The root solve is on f(s), the level after one RK4 step of
     h[i] s on the piece the point leaves, and stops at the first trial
-    fraction with |f| <= event_tol (at most 80 after the full step).  A
+    fraction with |f| <= TAU_SIGMA (at most 80 after the full step).  A
     point whose full step reaches the surface (f(1) changes sign or
-    |f(1)| <= event_tol) is bracketed on [0, 1] and takes Illinois
+    |f(1)| <= TAU_SIGMA) is bracketed on [0, 1] and takes Illinois
     secant points: regula falsi inside the bracket, halving the value
     at an end that is kept twice in a row, which is exact after one
     step when the piece is constant.  An unbracketed point (a stall or
@@ -456,10 +454,10 @@ def _cross(fld, cfg, y, logj, h, left, n, off):
     one-sided traces must carry it across at a normal speed above 1e-10;
     otherwise :class:`NonTransversalCrossingError` is raised for the
     failing point that meets its surface first (``left`` is each point's
-    remaining time before the step).  The point is placed 2 event_tol on
+    remaining time before the step).  The point is placed 2 TAU_SIGMA on
     the receiving side.  Returns (y, logj, time used).
     """
-    tol = cfg.event_tol
+    tol = catalog.TAU_SIGMA
     nn = np.sum(n * n, axis=1)[:, None]
     pieces = fld.piece_index(wrap_coords(y))
 
@@ -496,7 +494,7 @@ def _cross(fld, cfg, y, logj, h, left, n, off):
     y_new, logj_new, _ = _rk4_step(fld, y, logj, h * hi, pieces)
     direction = np.sign(-fa)[:, None]
     x_surf = y_new - level(y_new)[:, None] * n / nn
-    probe = direction * (2.0 * cfg.event_tol) * n / nn
+    probe = direction * (2.0 * tol) * n / nn
     bn_from = np.sum(fld.eval_many(wrap_coords(x_surf - probe)) * n, axis=1)
     bn_to = np.sum(fld.eval_many(wrap_coords(x_surf + probe)) * n, axis=1)
     across = np.sign(h) * direction[:, 0]
@@ -552,7 +550,7 @@ def check_group_property(ensemble: FlowEnsemble, s: float, t: float,
     The sample is every k-th initial point of the ensemble, with k the
     smallest stride that keeps at most ``max_points``.
     """
-    fld = get_field(ensemble.field_id)
+    fld = ensemble.field
     pts = ensemble.initial_points
     if pts.shape[0] > max_points:
         pts = pts[:: -(-pts.shape[0] // max_points)]
@@ -571,7 +569,7 @@ def check_ode_residual(ensemble: FlowEnsemble, x, t: float) -> float:
     The trajectory is re-integrated densely (every solver step stored)
     and the integral evaluated by the trapezoid rule in s.
     """
-    fld = get_field(ensemble.field_id)
+    fld = ensemble.field
     cfg = ensemble.config
     x = np.asarray(x, dtype=float).reshape(1, 2)
     n_steps = max(1, int(np.ceil(abs(t) / cfg.step)))
@@ -790,17 +788,14 @@ class InterpolatedFlowMap(FlowMap):
         _, _, cj = self._lookup(t)
         return self._interp(cj, pts)
 
-    def interpolation_error(self, t: float, n_sample: int = 128, seed: int = 7):
-        """(max position error, max log J error) against direct integration.
-
-        Deterministic (seeded sample) and memoized per time.
-        """
-        key = (round(float(t), 12), n_sample, seed)
+    def interpolation_error(self, t: float):
+        """(max position error, max log J error) against direct integration
+        of 128 points seeded with 7; memoized per time."""
+        key = round(float(t), 12)
         cache = self._err_cache
         if key in cache:
             return cache[key]
-        rng = np.random.default_rng(seed)
-        pts = rng.random((n_sample, 2))
+        pts = np.random.default_rng(7).random((128, 2))
         ens = integrate_flow(self.field, self.config, pts, [0.0, t])
         k = ens.time_index(t)
         pos_err = np.max(
@@ -850,17 +845,14 @@ class DirectFlowMap(FlowMap):
         return self._solve(t, pts)[1]
 
 
-def make_flow_map(fld: PiecewiseField, method: str = "auto",
-                  cfg: FlowSolverConfig | None = None, grid_n: int = 192):
+def make_flow_map(fld: PiecewiseField, cfg: FlowSolverConfig):
     """Build a flow map for the field.
 
     Strip fields always use the exact map (their flows are exact and
-    interpolation across jumps would be wrong).  Smooth fields use the
-    closed form when one exists (B) unless ``method='rk4_event'`` forces
-    the interpolated numerical map; field A is always numerical.
+    interpolation across jumps would be wrong).  A smooth field uses the
+    closed form under ``cfg.method == 'explicit_exact'`` (B has one, A
+    has none and raises) and the interpolated numerical map otherwise.
     """
-    if fld.has_jumps:
+    if fld.has_jumps or cfg.method == "explicit_exact":
         return ExactFlowMap(fld)
-    if method == "explicit_exact" or (method == "auto" and fld.id == "B"):
-        return ExactFlowMap(fld)
-    return InterpolatedFlowMap(fld, cfg, grid_n)
+    return InterpolatedFlowMap(fld, cfg)

@@ -89,7 +89,6 @@ class FunctionalConfig:
     epsilon: float
     n_x: int = 64
     n_z: int = 64
-    n_theta: int = 8
     dt_fd: float = 1e-3
     nodes_per_panel: int = 8
 
@@ -138,7 +137,8 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     I2      transformed term through the z-derivative and the difference
             quotient of b
     I2a     as I2 but with the quotient replaced by the theta-averaged
-            absolutely continuous derivative (Gauss-Legendre in theta)
+            absolutely continuous derivative (8-node Gauss-Legendre in
+            theta)
     MASS    int int rho mu1 mu2 (used in error propagation)
     I1_ABS / I2_ABS   same integrands against |integrand| (error budget)
     """
@@ -152,7 +152,7 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     totals = {t: {k: 0.0 for k in want} for t in times}
 
     if "I2a" in want:
-        gl_t, gl_w = gauss_legendre(cfg.n_theta)
+        gl_t, gl_w = gauss_legendre(8)
         theta_nodes = 0.5 * (gl_t + 1.0)
         theta_wts = 0.5 * gl_w
     else:
@@ -370,8 +370,7 @@ def R_a_check(field: PiecewiseField, kernel: AnisotropicKernel, x,
 
 
 def singular_bound(field: PiecewiseField, kernel: AnisotropicKernel,
-                   c_t: float = 1.0, n_surface: int = 64,
-                   n_z: int = 128) -> float:
+                   c_t: float = 1.0, n_z: int = 128) -> float:
     """The computable majorant of the singular contribution to I2:
 
         2 C(t)^2 int_Sigma [ int |<d2 rho(x, z), xi_b>| |<eta_b, z>| dz ]
@@ -381,12 +380,12 @@ def singular_bound(field: PiecewiseField, kernel: AnisotropicKernel,
     exactly like 1/(1+gamma) (the w = U z substitution).  The surface
     integral collapses to one z-integral per component when the kernel
     direction is constant; that z-grid and its d2 rho are then built once
-    for all components.
+    for all components; otherwise each component takes 64 surface nodes.
     """
     if not field.jumps:
         return 0.0
     constant = kernel.eta.is_constant
-    m = 1 if constant else n_surface
+    m = 1 if constant else 64
     shared = _polar_z_grid(kernel, None, n_z) if constant else None
     total = 0.0
     for jump in field.jumps:
@@ -648,8 +647,9 @@ class UniquenessReport:
 
 
 def uniqueness_report(field, flow_x, flow_y, kernel, cfg: FunctionalConfig,
-                      T: float, n_times: int = 6, tol: float = 1e-5) -> UniquenessReport:
-    """Run the Gronwall pipeline on two flows over [0, T].
+                      T: float, n_times: int = 6) -> UniquenessReport:
+    """Run the Gronwall pipeline on two flows over [0, T]; the verdict is
+    UNIQUE when the final L^1 discrepancy is at most 1e-5.
 
     For fields whose jump data violates <xi_b, eta_b> = 0 (divergence
     not in L^1) the verdict is declined: the report carries the detected
@@ -692,7 +692,7 @@ def uniqueness_report(field, flow_x, flow_y, kernel, cfg: FunctionalConfig,
     accumulated = float(np.trapezoid(residuals, times))
     gronwall_rhs = float(np.exp(div_sup * T) * (l_values[0] + accumulated))
     final = float(l_values[-1])
-    verdict = "UNIQUE" if final <= tol else "INCONCLUSIVE"
+    verdict = "UNIQUE" if final <= 1e-5 else "INCONCLUSIVE"
     return UniquenessReport(
         field_id=field.id,
         times=times,

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -67,6 +68,20 @@ def test_parse_rejects_large_epsilon(tmp_path):
     with pytest.raises(exp.ConfigError) as err:
         exp.parse_config(write_cfg(tmp_path, bad))
     assert "epsilon" in str(err.value)
+
+
+def test_docs_key_table_matches_scenario_config():
+    # the scenario table in docs/formats.md lists every key with its default
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "formats.md")
+    with open(path, encoding="utf-8") as fh:
+        section = fh.read().split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)`\s*\|[^|]*\|\s*`([^`]*)`\s*\|", section, re.M)
+    assert [key for key, _ in rows] == list(exp.ScenarioConfig.KEYS)
+    defaults = exp.ScenarioConfig()
+    for key, text in rows:
+        attr, kind = exp.ScenarioConfig.KEYS[key]
+        parsed = tuple(map(float, text.split())) if kind == "floats" else kind(text)
+        assert parsed == getattr(defaults, attr), key
 
 
 def test_fit_rate_exact_square():
@@ -144,10 +159,12 @@ def test_cli_unknown_field_exits_2(tmp_path):
     assert "field_id" in res.stderr
 
 
-# values the library constructors reject; each is named by its key
+# values and keys a scenario rejects; each is named by its key
 REJECTED = (
     ("solver.step = -1", "solver."),
-    ("solver.event_tol = 1", "solver."),
+    ("solver.step = 1e-13", "solver."),
+    ("solver.event_tol = 1e-12", "solver.event_tol"),
+    ("solver.max_crossings = 5", "solver.max_crossings"),
     ("functional.dt_fd = 0", "functional."),
     ("field_id = A\nsolver.method = explicit_exact", "solver.method"),
     ("functional.n_x = 0", "functional."),
@@ -155,6 +172,8 @@ REJECTED = (
     ("kernel.eta_params = 0 0", "kernel.eta_params"),
     ("kernel.eta_params = 1 0 0", "kernel.eta_params"),
     ("kernel.eta_params = 1", "kernel.eta_params"),
+    ("kernel.eta_kind = mollified_normal\nkernel.eta_params = 0.1 7 9", "kernel.eta_params"),
+    ("kernel.eta_kind = mollified_normal", "kernel.eta_params"),
 )
 
 

@@ -52,7 +52,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FlowSolverConfig(step=-1.0)
     with pytest.raises(ValueError):
-        FlowSolverConfig(event_tol=1.0, step=0.5)
+        FlowSolverConfig(step=1e-13)
     with pytest.raises(ValueError):
         FlowSolverConfig(method="euler")
 
@@ -374,18 +374,26 @@ def test_transversal_crossing_accuracy(pts, t):
 
 @pytest.mark.parametrize("budget, raises", [(1, True), (2, False)],
                          ids=["budget1-raises", "budget2-passes"])
-def test_max_crossings_guard(budget, raises):
+def test_max_crossings_guard(monkeypatch, budget, raises):
     # from x1 = 0.45 over t = 0.7 the trajectory crosses x1 = 1/2 and x1 = 1
     fld = transversal_fixture()
-    cfg = FlowSolverConfig(step=1e-3, max_crossings=budget)
+    monkeypatch.setattr(flow, "MAX_CROSSINGS", budget)
     pts = np.array([[0.45, 0.0]])
     if raises:
         with pytest.raises(RunawayTrajectoryError):
-            integrate_flow(fld, cfg, pts, [0.0, 0.7])
+            integrate_flow(fld, RK4, pts, [0.0, 0.7])
     else:
-        ens = integrate_flow(fld, cfg, pts, [0.0, 0.7])
+        ens = integrate_flow(fld, RK4, pts, [0.0, 0.7])
         pos = ens.positions[ens.time_index(0.7)]
         assert np.max(torus_distance(pos, oracle_transversal(pts, 0.7))) < 1e-9
+
+
+def test_checks_run_on_a_field_outside_the_catalog():
+    # the ensemble carries its field; the fixture has no catalog id to look up
+    pts = np.random.default_rng(4).random((16, 2))
+    ens = integrate_flow(transversal_fixture(), RK4, pts, [0.0, 0.1])
+    assert check_group_property(ens, 0.2, 0.3) < 1e-9
+    assert check_ode_residual(ens, (0.1, 0.2), 0.3) < 1e-12
 
 
 def crossing_steps(k, seed, h_range=(2e-3, 1e-2), reach=0.95):
@@ -402,14 +410,14 @@ def crossing_steps(k, seed, h_range=(2e-3, 1e-2), reach=0.95):
 def cross_at_half(fld, h, y):
     k = len(h)
     normals, offsets = np.tile([1.0, 0.0], (k, 1)), np.full(k, 0.5)
-    return flow._cross(fld, RK4, y, np.zeros(k), h, np.ones(k), normals, offsets)
+    return flow._cross(fld, y, np.zeros(k), h, np.ones(k), normals, offsets)
 
 
 def test_cross_locates_closed_form_crossing():
     # on the fixture x1 moves at unit speed, so the crossing time is gap
     h, gap, y = crossing_steps(12, seed=9)
     y_new, _, used = cross_at_half(transversal_fixture(), h, y)
-    assert np.max(np.abs(used - gap)) <= 2.0 * RK4.event_tol
+    assert np.max(np.abs(used - gap)) <= 2.0 * catalog.TAU_SIGMA
     for i in range(len(h)):
         assert y_new[i, 0] - 0.5 == pytest.approx(np.sign(h[i]) * 2e-12, abs=1e-15)
 
@@ -470,7 +478,7 @@ def test_cross_on_curved_level():
     assert np.all(used > 0) and np.all(used < np.abs(h))
     landed, _, _ = flow._rk4_step(fld, y, np.zeros(len(h)), np.sign(h) * used,
                                   fld.piece_index(y))
-    assert np.max(np.abs(wrap_half(landed[:, 0] - 0.5))) <= RK4.event_tol
+    assert np.max(np.abs(wrap_half(landed[:, 0] - 0.5))) <= catalog.TAU_SIGMA
     assert np.all(np.sign(y_new[:, 0] - 0.5) == np.sign(h))
     # whole trajectories, forward and backward, against a step of 1e-4
     pts = np.random.default_rng(10).random((32, 2))
@@ -514,9 +522,10 @@ def test_direct_flow_map_matches_ensemble():
 
 
 def test_make_flow_map_dispatch():
-    assert isinstance(make_flow_map(get_field("C")), ExactFlowMap)
-    assert isinstance(make_flow_map(get_field("B")), ExactFlowMap)
-    assert isinstance(make_flow_map(get_field("A")), InterpolatedFlowMap)
+    assert isinstance(make_flow_map(get_field("C"), RK4), ExactFlowMap)
+    assert isinstance(make_flow_map(get_field("B"), EXACT), ExactFlowMap)
+    assert isinstance(make_flow_map(get_field("B"), RK4), InterpolatedFlowMap)
+    assert isinstance(make_flow_map(get_field("A"), RK4), InterpolatedFlowMap)
     with pytest.raises(ValueError):
         ExactFlowMap(get_field("A"))
 

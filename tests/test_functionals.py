@@ -448,11 +448,12 @@ def test_discrepancy_report_row():
 def test_discrepancy_report_row_equals_separate_routes(fid, eta, gamma):
     # the fused row (one pair sweep, one L^1 grid) must reproduce every
     # value of the separate public routes bit for bit.  The maps are built
-    # as run_scenario builds them; on B (divergence and density not
-    # trivial) the first is interpolated, so I2_a_limit and eqfin_residual
-    # are not zero.
+    # as run_scenario builds them under rk4_event, on a coarser grid; on B
+    # (divergence and density not trivial) the first is interpolated, so
+    # I2_a_limit and eqfin_residual are not zero.
     fld = get_field(fid)
-    fx = flow.make_flow_map(fld, "rk4_event", FlowSolverConfig(), grid_n=64)
+    fx = (InterpolatedFlowMap(fld, FlowSolverConfig(), grid_n=64) if fid == "B"
+          else ExactFlowMap(fld))
     fy = ExactFlowMap(fld)
     kern = AnisotropicKernel(poly_bump, DirectionField.constant(eta), gamma)
     cfg = fn.FunctionalConfig(epsilon=0.05, n_x=16, n_z=16)
