@@ -175,8 +175,8 @@ def _build(cfg: ScenarioConfig):
     two flow maps, a kernel per gamma and a FunctionalConfig per epsilon.
 
     The library constructors do the validation; only what none of them
-    sees (empty lists, the direction kind, the width's value count) is
-    checked here.
+    sees (empty lists, the times, the direction kind, the width's value
+    count) is checked here.
     """
     for key, values in (
         ("functional.gamma", cfg.gammas),
@@ -185,6 +185,8 @@ def _build(cfg: ScenarioConfig):
     ):
         if len(values) == 0:
             raise ConfigError("list must be nonempty", key=key)
+    if not all(np.isfinite(cfg.t_values)):
+        raise ConfigError("times must be finite", key="functional.t")
     if cfg.kernel_eta_kind not in ("constant", "mollified_normal"):
         raise ConfigError(
             f"unknown kernel.eta_kind {cfg.kernel_eta_kind!r}", key="kernel.eta_kind"
@@ -197,7 +199,7 @@ def _build(cfg: ScenarioConfig):
         fld = cat.get_field(cfg.field_id)
     with _named("kernel.profile"):
         profile = PROFILES[cfg.kernel_profile]
-    with _named("solver.*"):
+    with _named("solver.step", "solver.method"):
         solver = flow_mod.FlowSolverConfig(step=cfg.solver_step, method=cfg.solver_method)
     with _named("field_id", "solver.method"):
         flow_x = flow_mod.make_flow_map(fld, solver)
@@ -211,7 +213,8 @@ def _build(cfg: ScenarioConfig):
             eta = DirectionField.mollified_normal(source, cfg.kernel_eta_params[0])
     with _named("functional.gamma", "kernel.eta_params"):
         kernels = {float(g): AnisotropicKernel(profile, eta, float(g)) for g in cfg.gammas}
-    with _named("functional.*"):
+    with _named("functional.epsilon", "functional.n_x", "functional.n_z",
+                "functional.dt_fd"):
         fcfgs = {
             float(e): fn.FunctionalConfig(
                 epsilon=float(e), n_x=cfg.n_x, n_z=cfg.n_z, dt_fd=cfg.dt_fd

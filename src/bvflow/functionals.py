@@ -33,14 +33,16 @@ smooth fields; for strip fields the field frame (tangential uniform x
 normal Gauss-Legendre panels) with the panels split both at the jump
 surfaces and at their eps<n, z>-shifted copies, so every x-integrand is
 smooth on every panel and the quadrature carries no jump-boundary error.
-z-nodes sharing the same shift are processed as one block against one
-x-grid (a smooth field has a single block); the cell-centered w-grid
-makes those groups large for every catalog field.  The x-side flow
-factors (displacement and density of the first flow) are evaluated once
-per x point set and time, and shared by every z block paired with that
-set.  Gauss-Legendre
-rules come from :func:`bvflow.torus.gauss_legendre`, built once per
-order.
+z-nodes sharing the same shift are processed against one x-grid (a
+smooth field has a single group); the cell-centered w-grid makes those
+groups large for every catalog field.  A group is swept in z-chunks of
+at most :data:`PAIR_CHUNK` (x, z) pairs, which bounds the pair arrays
+and the second flow's per-batch state (a spline tap-weight matrix costs
+about 192 bytes per pair).  The x-only factors (b(x), and per time the
+first flow's displacement and the x-weight times its density) are
+evaluated once per x point set and shared by every z-chunk paired with
+that set.  Gauss-Legendre rules come from
+:func:`bvflow.torus.gauss_legendre`, built once per order.
 
 A report row (:func:`discrepancy_report`) is one pair sweep over the
 times {t - dt, t, t + dt}, which yields D, I1 and I2 at t and the
@@ -59,7 +61,9 @@ from . import catalog as cat
 from .catalog import PiecewiseField, volume_quadrature
 from .flow import collision_branch_maps
 from .kernels import AnisotropicKernel
-from .torus import QuadratureGrid, gauss_legendre, torus_distance, wrap_half
+# wrap_half is unused here but stays a module attribute: bench/test_bench.py
+# checks that the tracer rewires it in this module
+from .torus import QuadratureGrid, gauss_legendre, torus_distance, wrap_half  # noqa: F401
 
 __all__ = [
     "FunctionalConfig",
@@ -79,7 +83,10 @@ __all__ = [
     "TraceIdentityResult",
     "discrepancy_report",
     "uniqueness_report",
+    "PAIR_CHUNK",
 ]
+
+PAIR_CHUNK = 2 ** 15  # (x, z) pairs per z-chunk of the pair engine
 
 
 @dataclass(frozen=True)
@@ -100,8 +107,8 @@ class FunctionalConfig:
             )
         if self.n_x < 1 or self.n_z < 1:
             raise ValueError("n_x and n_z must be at least 1")
-        if self.dt_fd <= 0:
-            raise ValueError("dt_fd must be positive")
+        if not 0.0 < self.dt_fd < np.inf:
+            raise ValueError("dt_fd must be finite and positive")
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +165,24 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     else:
         theta_nodes = theta_wts = None
 
-    def x_factors(x_pts):
-        """flow_x's displacement and density at x_pts for every time,
-        shared by all z-chunks paired with this x point set."""
+    def x_factors(x_pts, x_wts):
+        """The x-only factors shared by every z-chunk paired with this x
+        point set: b(x) when an integrand needs it, and for every time
+        flow_x's displacement and the weight x_wts * mu1."""
+        bx = None
+        if "I2" in want or "I2_ABS" in want or (
+            not kernel.eta.is_constant and ("I1" in want or "I1_ABS" in want)
+        ):
+            bx = field.eval_many(x_pts)
         flow_x.begin_batch(x_pts)
-        out = {t: (flow_x.displacement(t, x_pts), flow_x.density(t, x_pts))
-               for t in times}
+        per_t = {t: (flow_x.displacement(t, x_pts), x_wts * flow_x.density(t, x_pts))
+                 for t in times}
         flow_x.end_batch()
-        return out
+        return bx, per_t
 
-    def accumulate(x_pts, x_wts, x_side, z_chunk, zw_chunk):
+    def accumulate(x_pts, x_side, z_chunk, zw_chunk):
         """x_pts (P,2) paired against every z in the chunk (Q,2)."""
+        bx, per_t = x_side
         p, q = x_pts.shape[0], z_chunk.shape[0]
         y_pts = (x_pts[None, :, :] + eps * z_chunk[:, None, :]).reshape(-1, 2)
         # time-independent factors
@@ -185,11 +199,9 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
             d2 = kernel.d2_rho(x_tile, z_tile).reshape(q, p, 2)
             if "I1" in want or "I1_ABS" in want:
                 d1 = kernel.d1_rho(x_tile, z_tile).reshape(q, p, 2)
-                bx0 = field.eval_many(x_pts)
-                g1 = -np.einsum("qpi,pi->qp", d1, bx0)
+                g1 = -np.einsum("qpi,pi->qp", d1, bx)
         g2 = None
         if "I2" in want or "I2_ABS" in want:
-            bx = field.eval_many(x_pts)
             by = field.eval_many(y_pts).reshape(q, p, 2)
             quot = (by - bx[None, :, :]) / eps
             g2 = -np.einsum("qpi,qpi->qp", d2, quot)
@@ -204,15 +216,15 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
             dbz = np.einsum("qpij,qj->qpi", davg, z_chunk)
             g2a = -np.einsum("qpi,qpi->qp", d2, dbz)
 
-        base = zw_chunk[:, None] * x_wts[None, :]  # (q,P)
         flow_y.begin_batch(y_pts)
         for t in times:
-            dx, mu1 = x_side[t]  # (P,2), (P,)
+            dx, xw_mu1 = per_t[t]  # (P,2), (P,)
             dy = flow_y.displacement(t, y_pts).reshape(q, p, 2)
             sep = dx[None, :, :] - eps * z_chunk[:, None, :] - dy
-            dist = np.linalg.norm(wrap_half(sep), axis=-1)  # (q,P)
+            sep -= np.rint(sep)  # minimal image; a tie at +-1/2 has the same norm
+            dist = np.hypot(sep[..., 0], sep[..., 1])  # (q,P)
             mu2 = flow_y.density(t, y_pts).reshape(q, p)
-            ww = base * mu1[None, :] * mu2
+            ww = zw_chunk[:, None] * xw_mu1[None, :] * mu2
             tot = totals[t]
             if "D" in want:
                 tot["D"] += float(np.sum(dist * rho * ww))
@@ -235,11 +247,11 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
             field, cfg.n_x, cfg.nodes_per_panel,
             extra_breakpoints=[b - shift for b in field.strip_bounds],
         )
-        x_side = x_factors(x_pts)
-        chunk = max(1, int(2.0e6 // x_pts.shape[0]))
+        x_side = x_factors(x_pts, x_wts)
+        chunk = max(1, PAIR_CHUNK // x_pts.shape[0])
         for lo in range(0, idx.size, chunk):
             sel = idx[lo : lo + chunk]
-            accumulate(x_pts, x_wts, x_side, z_pts[sel], z_wts[sel])
+            accumulate(x_pts, x_side, z_pts[sel], z_wts[sel])
     return totals
 
 

@@ -148,12 +148,14 @@ class DirectionField:
     def constant(cls, vector) -> "DirectionField":
         v = np.asarray(vector, dtype=float)
         norm = np.linalg.norm(v)
-        if norm == 0:
-            raise ValueError("direction vector must be nonzero")
+        if not 0.0 < norm < np.inf:
+            raise ValueError("direction vector must be finite and nonzero")
         return cls(kind="constant", vector=tuple(v / norm))
 
     @classmethod
     def mollified_normal(cls, source: PiecewiseField, width: float) -> "DirectionField":
+        if not math.isfinite(width):
+            raise ValueError("width must be finite")
         if not source.jumps:
             raise ValueError(
                 f"field {source.id} has no jump surfaces to take a normal from"
@@ -212,8 +214,8 @@ class AnisotropicKernel:
     dim: int = 2
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and nonnegative")
         if self.eta.is_constant and len(self.eta.vector) != self.dim:
             raise ValueError(
                 f"direction vector has dimension {len(self.eta.vector)}, "

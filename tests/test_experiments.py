@@ -174,6 +174,15 @@ REJECTED = (
     ("kernel.eta_params = 1", "kernel.eta_params"),
     ("kernel.eta_kind = mollified_normal\nkernel.eta_params = 0.1 7 9", "kernel.eta_params"),
     ("kernel.eta_kind = mollified_normal", "kernel.eta_params"),
+    # non-finite floats
+    ("solver.step = nan", "solver.step"),
+    ("solver.step = inf", "solver.step"),
+    ("functional.dt_fd = nan", "functional.dt_fd"),
+    ("functional.gamma = nan", "functional.gamma"),
+    ("functional.t = nan", "functional.t"),
+    ("functional.t = inf", "functional.t"),
+    ("kernel.eta_params = nan 0", "kernel.eta_params"),
+    ("kernel.eta_kind = mollified_normal\nkernel.eta_params = nan", "kernel.eta_params"),
 )
 
 

@@ -120,6 +120,10 @@ def test_exact_flow_map_b_matches_oracle():
     xt, logj = oracle_b_flow(pts[:, 0], -0.37)
     assert np.max(np.abs(fm.position(-0.37, pts)[:, 0] - xt)) < 1e-12
     assert np.max(np.abs(fm.log_jacobian(-0.37, pts) - logj)) < 1e-12
+    # the closed-form density, also at the fixed points 0 and 1/2
+    assert np.allclose(fm.density(-0.37, pts), np.exp(logj), rtol=1e-12, atol=0.0)
+    fixed = np.array([[0.0, 0.3], [0.5, 0.3]])
+    assert np.array_equal(fm.density(0.3, fixed), np.exp([TWO_PI * 0.3, -TWO_PI * 0.3]))
 
 
 def test_group_property():
@@ -504,6 +508,80 @@ def test_interpolated_flow_map_accuracy():
     pos_err, logj_err = fm.interpolation_error(0.3)
     assert pos_err < 1e-5
     assert logj_err < 1e-6
+
+
+# The spline evaluator against ndimage's periodic cubic B-spline.  The
+# query points are dyadic, so the oracle's reduction mod 1 is exact:
+# negative coordinates, coordinates >= 1, the seam and exact knots.
+SPLINE_ORACLE_TOL = 1e-14
+
+
+def spline_query_points():
+    rng = np.random.default_rng(11)
+    scattered = np.round((rng.random((400, 2)) * 3.0 - 1.0) * 2.0**20) / 2.0**20
+    knots = np.array([[0.0, 0.0], [1.0, 0.5], [-1.0, 0.25], [0.5, 2.0],
+                      [3 / 32, 1 + 5 / 32], [-7 / 32, -0.0]])
+    seam = np.array([[0.0, 0.3], [1.0, 0.3], [-(2.0**-40), 0.7], [1 - 2.0**-40, 0.1]])
+    return np.concatenate([scattered, knots, seam])
+
+
+def small_spline_map(fid):
+    fm = InterpolatedFlowMap(get_field(fid), FlowSolverConfig(step=1e-2), grid_n=32)
+    fm.prepare([0.3])
+    return fm
+
+
+def spline_oracle_error(fm, t, pts):
+    from scipy import ndimage
+
+    n = fm.grid_n
+    coords = (np.mod(pts, 1.0) * n).T
+    table = fm._lookup(t).reshape(3, n, n)
+    want = np.stack([
+        ndimage.map_coordinates(c, coords, order=3, mode="grid-wrap", prefilter=False)
+        for c in table
+    ], axis=-1)
+    got = np.column_stack([fm.displacement(t, pts), fm.log_jacobian(t, pts)])
+    return float(np.max(np.abs(got - want)))
+
+
+@pytest.mark.parametrize("fid", ["A", "B"])
+def test_spline_evaluator_matches_ndimage(fid):
+    fm = small_spline_map(fid)
+    assert spline_oracle_error(fm, 0.3, spline_query_points()) <= SPLINE_ORACLE_TOL
+
+
+def test_spline_oracle_catches_a_weight_error(monkeypatch):
+    exact = flow._bspline_weights
+
+    def planted(s):
+        w = exact(s)
+        w[0] += 1e-9
+        return w
+
+    monkeypatch.setattr(flow, "_bspline_weights", planted)
+    fm = small_spline_map("A")
+    assert spline_oracle_error(fm, 0.3, spline_query_points()) > SPLINE_ORACLE_TOL
+
+
+@pytest.mark.parametrize("fid", ["A", "B"])
+def test_spline_batch_matches_plain_and_serves_only_its_array(fid):
+    fm = small_spline_map(fid)
+    pts = spline_query_points()
+    other = pts.copy()
+    other[::2] += 0.1
+
+    def query(p):
+        return fm.displacement(0.3, p), fm.log_jacobian(0.3, p), fm.density(0.3, p)
+
+    plain, plain_other = query(pts), query(other)
+    fm.begin_batch(pts)
+    batched, batched_copy, batched_other = query(pts), query(pts.copy()), query(other)
+    fm.end_batch()
+    for got, want in ((batched, plain), (batched_copy, plain), (batched_other, plain_other)):
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    assert not np.array_equal(plain_other[0], plain[0])
 
 
 def test_interpolated_flow_map_rejects_jump_fields():
