@@ -20,7 +20,9 @@ cli          command line front end (catalog / run / sweep / check / fit)
 
 Submodules load on first access (PEP 562), so importing the package,
 or ``bvflow.cli``, loads no numpy: the CLI caps the thread pools of the
-numerical backends before they start.
+numerical backends before they start.  The numerical submodules import
+numpy only; ``scipy.sparse`` loads when a spline flow map first
+evaluates.
 """
 
 import importlib

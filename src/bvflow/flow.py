@@ -53,7 +53,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, sparse
 
 from . import catalog
 from .catalog import PiecewiseField
@@ -747,6 +746,28 @@ def _bspline_weights(s):
     ])
 
 
+def _bspline_symbol(n: int) -> np.ndarray:
+    """Eigenvalues of the periodic cubic B-spline at the nodes of an
+    n-point axis: the circulant c -> (c[i-1] + 4 c[i] + c[i+1]) / 6 has
+    lam_k = (4 + 2 cos(2 pi k / n)) / 6 on the k-th Fourier mode."""
+    return (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)) / 6.0
+
+
+def _spline_prefilter(grids) -> np.ndarray:
+    """Periodic cubic B-spline coefficients of a stack of n x n grids.
+
+    Exact inversion of the node operator in Fourier space,
+    irfft2(rfft2(a) / (lam_k lam_l)); lam_k >= 1/3, so the division is
+    well conditioned.  Agrees with ``scipy.ndimage.spline_filter(order=3,
+    mode="grid-wrap")`` to rounding.
+    """
+    n = grids.shape[-1]
+    lam = _bspline_symbol(n)
+    spec = np.fft.rfft2(grids)
+    spec /= lam[:, None] * lam[: n // 2 + 1]
+    return np.fft.irfft2(spec, s=(n, n))
+
+
 def _spline_matrix(pts, n: int):
     """Periodic cubic B-spline evaluation on an n x n grid as a CSR matrix.
 
@@ -754,7 +775,11 @@ def _spline_matrix(pts, n: int):
     against the row-major flattened coefficient grid, so ``S @ c.ravel()``
     is the spline with coefficients c at the points (grid node (i, j) sits
     at (i / n, j / n); any real coordinates, wrapped periodically).
+    ``scipy.sparse`` is imported here, on first use, so that importing
+    this module loads numpy only.
     """
+    from scipy import sparse
+
     u = pts * n
     f = np.floor(u)
     w = _bspline_weights(u - f)  # (4, M, 2)
@@ -774,10 +799,13 @@ class InterpolatedFlowMap(FlowMap):
 
     The displacement X(t, x) - x is smooth and periodic in x, so it
     interpolates cleanly across the torus seam; positions themselves
-    would not.  ``prepare`` stores each time's prefiltered spline
-    coefficients of the two displacement channels and log J as the rows
-    of one (3, n*n) table.  A query is a sparse product with the points'
-    tap-weight matrix (:func:`_spline_matrix`); ``begin_batch`` builds
+    would not.  ``prepare`` stores each time's spline coefficients of
+    the two displacement channels and log J as the rows of one (3, n*n)
+    table; the periodic prefilter is the exact inverse of the spline's
+    node operator, applied in Fourier space with numpy's FFT
+    (:func:`_spline_prefilter`).  A query is a sparse product with the
+    points' tap-weight matrix (:func:`_spline_matrix`, which loads
+    ``scipy.sparse`` on its first call); ``begin_batch`` builds
     that matrix once for a point set, and every time and channel queried
     on that very array reuses it (the identity check is safe for the
     reason given in :class:`ExactFlowMap`).  ``interpolation_error``
@@ -815,10 +843,8 @@ class InterpolatedFlowMap(FlowMap):
             k = ens.time_index(t)
             disp = ens.displacements[k].reshape(n, n, 2)
             logj = ens.log_jacobian[k].reshape(n, n)
-            self._tables[t] = np.stack([
-                ndimage.spline_filter(a, order=3, mode="grid-wrap").ravel()
-                for a in (disp[:, :, 0], disp[:, :, 1], logj)
-            ])
+            grids = np.stack([disp[:, :, 0], disp[:, :, 1], logj])
+            self._tables[t] = _spline_prefilter(grids).reshape(3, n * n)
 
     def _lookup(self, t: float):
         key = round(float(t), 12)

@@ -50,17 +50,18 @@ class QuadratureError(ValueError):
 def wrap_coords(raw) -> np.ndarray:
     """Reduce coordinates modulo 1 into [0, 1), elementwise.
 
-    Accepts any array shape.  Rejects non-finite input.  Guards the IEEE
-    edge case where ``x % 1.0`` rounds up to exactly 1.0 for tiny
-    negative x.
+    Accepts any array shape.  Rejects non-finite input.  Computes
+    x - floor(x), which for finite x is bit-identical to
+    ``np.mod(x, 1.0)`` (both round the exact x - floor(x) once, and both
+    map -0.0 to +0.0) and several times faster.  Guards the IEEE edge
+    case where that rounds up to exactly 1.0 for tiny negative x.
     """
     arr = np.asarray(raw, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("cannot wrap non-finite coordinates")
-    out = np.mod(arr, 1.0)
-    # -1e-17 % 1.0 == 1.0 in float64; fold back to 0.
-    if out.ndim == 0:
-        return np.asarray(0.0) if out >= 1.0 else out
+    out = np.floor(arr, out=np.empty_like(arr))
+    np.subtract(arr, out, out=out)
+    # -1e-17 - floor(-1e-17) == 1.0 in float64; fold back to 0.
     out[out >= 1.0] = 0.0
     return out
 
@@ -69,15 +70,15 @@ def wrap_half(values) -> np.ndarray:
     """Reduce values into [-1/2, 1/2), elementwise.
 
     The tie at +-1/2 resolves to -1/2 (exactly the convention of
-    :func:`min_image`).
+    :func:`min_image`).  Computed as in :func:`wrap_coords` on x + 1/2,
+    bit-identical to ``np.mod(x + 0.5, 1.0) - 0.5``.
     """
     arr = np.asarray(values, dtype=float)
-    out = np.mod(arr + 0.5, 1.0)
-    if out.ndim == 0:
-        out = np.asarray(0.0) if out >= 1.0 else out
-        return out - 0.5
+    out = np.add(arr, 0.5, out=np.empty_like(arr))
+    out -= np.floor(out)
     out[out >= 1.0] = 0.0
-    return out - 0.5
+    out -= 0.5
+    return out
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,51 @@ def test_run_scenario_files(tmp_path):
     assert cfg2 == cfg
 
 
+# Import-time guards, each in a fresh interpreter: the strip-field run
+# path must load no scipy at all, and field A's spline map must still
+# find scipy.sparse when it first builds a tap-weight matrix.
+STRIP_RUN_LOADS_NO_SCIPY = """
+import sys
+from bvflow import experiments as exp
+exp.run_scenario(exp.parse_config(sys.argv[1]), out_dir=sys.argv[2])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+SPLINE_MAP_LOADS_SPARSE = """
+import sys
+import numpy as np
+from bvflow import catalog, flow
+cfg = flow.FlowSolverConfig(step=1e-2)
+fm = flow.InterpolatedFlowMap(catalog.get_field("A"), cfg, grid_n=32)
+fm.prepare([0.3])
+assert "scipy" not in sys.modules
+nodes = fm._grid[::7]
+got = fm.displacement(0.3, nodes)
+assert "scipy.sparse" in sys.modules
+ens = flow.integrate_flow(fm.field, cfg, nodes, [0.0, 0.3])
+err = np.max(np.abs(got - ens.displacements[ens.time_index(0.3)]))
+assert err < 1e-13, err
+"""
+
+
+def run_python(code, *args):
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=dict(os.environ))
+
+
+def test_strip_run_loads_no_scipy(tmp_path):
+    out = tmp_path / "out"
+    res = run_python(STRIP_RUN_LOADS_NO_SCIPY, write_cfg(tmp_path, MINIMAL), str(out))
+    assert res.returncode == 0, res.stderr
+    assert len((out / "report.csv").read_text().strip().splitlines()) == 2
+
+
+def test_spline_map_loads_scipy_sparse_on_first_query():
+    res = run_python(SPLINE_MAP_LOADS_SPARSE)
+    assert res.returncode == 0, res.stderr
+
+
 def test_run_scenario_gamma_sweep_slope(tmp_path):
     text = MINIMAL.replace("functional.gamma = 0", "functional.gamma = 0 1 3 9 27")
     cfg = exp.parse_config(write_cfg(tmp_path, text))

@@ -564,6 +564,54 @@ def test_spline_oracle_catches_a_weight_error(monkeypatch):
     assert spline_oracle_error(fm, 0.3, spline_query_points()) > SPLINE_ORACLE_TOL
 
 
+# The prefilter against its definition: the spline whose coefficients
+# are the stored table must take the integrated values at the grid
+# nodes.  At node i a cubic B-spline is (c[i-1] + 4 c[i] + c[i+1]) / 6
+# along each axis, so the check needs neither scipy nor the evaluator.
+PREFILTER_NODE_TOL = 1e-13
+
+
+def spline_grid_values(fm, t):
+    """The integrated displacement channels and log J on the map's grid,
+    as (3, n, n)."""
+    ens = integrate_flow(fm.field, fm.config, fm._grid, [0.0, t])
+    k = ens.time_index(t)
+    n = fm.grid_n
+    return np.concatenate([ens.displacements[k].T, ens.log_jacobian[k][None]]).reshape(3, n, n)
+
+
+def spline_node_error(fm, t):
+    n = fm.grid_n
+    c = fm._lookup(t).reshape(3, n, n)
+    rows = (np.roll(c, 1, axis=1) + 4.0 * c + np.roll(c, -1, axis=1)) / 6.0
+    nodes = (np.roll(rows, 1, axis=2) + 4.0 * rows + np.roll(rows, -1, axis=2)) / 6.0
+    return float(np.max(np.abs(nodes - spline_grid_values(fm, t))))
+
+
+@pytest.mark.parametrize("fid", ["A", "B"])
+def test_spline_prefilter_reproduces_grid_values(fid):
+    assert spline_node_error(small_spline_map(fid), 0.3) <= PREFILTER_NODE_TOL
+
+
+@pytest.mark.parametrize("fid", ["A", "B"])
+def test_spline_prefilter_matches_ndimage(fid):
+    from scipy import ndimage
+
+    fm = small_spline_map(fid)
+    want = np.stack([
+        ndimage.spline_filter(g, order=3, mode="grid-wrap")
+        for g in spline_grid_values(fm, 0.3)
+    ])
+    got = fm._lookup(0.3).reshape(want.shape)
+    assert float(np.max(np.abs(got - want))) <= 1e-14
+
+
+def test_spline_node_check_catches_a_symbol_error(monkeypatch):
+    exact = flow._bspline_symbol
+    monkeypatch.setattr(flow, "_bspline_symbol", lambda n: exact(n) * (1.0 + 1e-9))
+    assert spline_node_error(small_spline_map("A"), 0.3) > PREFILTER_NODE_TOL
+
+
 @pytest.mark.parametrize("fid", ["A", "B"])
 def test_spline_batch_matches_plain_and_serves_only_its_array(fid):
     fm = small_spline_map(fid)

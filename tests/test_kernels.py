@@ -124,6 +124,31 @@ def test_normalization_dim(dim):
     assert abs(val - 1.0) < tol
 
 
+def unit_sphere_area(dim):
+    return 2.0 * math.pi ** (dim / 2) / math.gamma(dim / 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_poly_bump_normalization_closed_form(dim):
+    # int_0^1 (1 - r^2)^4 r^(d-1) dr = Gamma(d/2) Gamma(5) / (2 Gamma(d/2 + 5))
+    closed = 2.0 * math.gamma(dim / 2 + 5) / (
+        unit_sphere_area(dim) * math.gamma(dim / 2) * math.gamma(5)
+    )
+    assert abs(poly_bump.normalization(dim) / closed - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_smooth_exp_normalization_matches_adaptive_quadrature(dim):
+    from scipy.integrate import quad
+
+    radial, _ = quad(
+        lambda r: math.exp(-1.0 / (1.0 - r * r)) * r ** (dim - 1) if r < 1.0 else 0.0,
+        0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200,
+    )
+    want = 1.0 / (unit_sphere_area(dim) * radial)
+    assert abs(smooth_exp.normalization(dim) / want - 1.0) <= 1e-14
+
+
 def test_change_of_variables_identity():
     # int g(U z) det U dz = int g(w) dw for an F0-type integrand
     gamma = 7.0

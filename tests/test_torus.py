@@ -15,6 +15,7 @@ from bvflow.torus import (
     torus_distance,
     wrap,
     wrap_coords,
+    wrap_half,
 )
 
 finite_coords = st.lists(
@@ -40,6 +41,59 @@ def test_wrap_rejects_nonfinite():
 def test_wrap_tiny_negative_stays_in_range():
     # -1e-17 % 1.0 rounds to 1.0 in IEEE; must fold to 0
     assert wrap((-1e-17, 0.0)).coords[0] == 0.0
+
+
+# The np.mod formulations the wraps replaced; x - floor(x) must match
+# them bit for bit.
+def wrap_coords_by_mod(x):
+    out = np.mod(x, 1.0)
+    out[out >= 1.0] = 0.0
+    return out
+
+
+def wrap_half_by_mod(x):
+    out = np.mod(x + 0.5, 1.0)
+    out[out >= 1.0] = 0.0
+    return out - 0.5
+
+
+WRAP_EDGE_CASES = [
+    -1e-17, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    -2.225073858507201e-308, 1e300, -1e300, 2.0**53 + 0.5, 2.0**52 + 0.5,
+    -(2.0**52 + 0.5), 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 1.0 - 2.0**-53,
+    -(1.0 - 2.0**-53), 0.5 - 2.0**-54, -0.5 - 2.0**-53, 2.0**-60, -(2.0**-60),
+]
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+def test_wraps_bit_identical_to_mod(values):
+    x = np.array(values + WRAP_EDGE_CASES)
+    assert_bits_equal(wrap_coords(x), wrap_coords_by_mod(x))
+    assert_bits_equal(wrap_half(x), wrap_half_by_mod(x))
+    grid = x[: 2 * (x.size // 2)].reshape(2, -1)
+    assert_bits_equal(wrap_coords(grid), wrap_coords_by_mod(grid))
+    assert_bits_equal(wrap_half(grid), wrap_half_by_mod(grid))
+
+
+def test_wraps_of_scalars_match_mod():
+    for v in WRAP_EDGE_CASES:
+        x = np.array([v])
+        assert_bits_equal(np.ravel(wrap_coords(v)), wrap_coords_by_mod(x))
+        assert_bits_equal(np.ravel(wrap_half(v)), wrap_half_by_mod(x))
+
+
+def test_wraps_leave_their_input_alone():
+    x = np.array(WRAP_EDGE_CASES)
+    before = x.copy()
+    wrap_coords(x)
+    wrap_half(x)
+    assert_bits_equal(x, before)
 
 
 @given(finite_coords)
