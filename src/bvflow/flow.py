@@ -36,9 +36,12 @@ initial grid gives the density field with no scattered-data step.
 The functionals evaluate flows at arbitrary points through one
 protocol, :class:`FlowMap`: a subclass supplies ``displacement(t, pts)``
 and ``log_jacobian(t, pts)``, and the base class derives ``position``
-and ``density`` and supplies no-op ``prepare`` / ``begin_batch`` /
-``end_batch`` hooks and a zero ``interpolation_error``.  Three maps
-implement it: :class:`ExactFlowMap` (the closed forms),
+and ``density`` and supplies a no-op ``prepare`` hook and a zero
+``interpolation_error``.  The base class also owns the one batch
+mechanism: ``begin_batch(pts)`` keeps the work a map shares across all
+queries on that point set (its ``_point_state``), and every query on
+that very array reuses it until ``end_batch``.  Three maps implement
+the protocol: :class:`ExactFlowMap` (the closed forms),
 :class:`InterpolatedFlowMap` (RK4 on a grid plus splines) and
 :class:`DirectFlowMap` (RK4 on the query points).
 
@@ -306,13 +309,6 @@ def _exact_logj(fld: PiecewiseField, prep, pts, t: float):
     return np.where(near_fixed, at_fixed, np.log(ratio))
 
 
-def _exact_displacement(fld: PiecewiseField, pts, t: float):
-    """Unwrapped displacement X(t, x) - x and log J for the exact flows."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    prep = _exact_prep(fld, pts)
-    return _exact_disp(fld, prep, pts, t), _exact_logj(fld, prep, pts, t)
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -337,11 +333,11 @@ def integrate_flow(fld: PiecewiseField, cfg: FlowSolverConfig, initial_points,
     log_jacobian = np.empty((t_count, m))
 
     if cfg.method == "explicit_exact":
+        prep = _exact_prep(fld, pts0)
         for k, t in enumerate(times):
-            disp, logj = _exact_displacement(fld, pts0, float(t))
-            displacements[k] = disp
-            positions[k] = wrap_coords(pts0 + disp)
-            log_jacobian[k] = logj
+            displacements[k] = _exact_disp(fld, prep, pts0, float(t))
+            positions[k] = wrap_coords(pts0 + displacements[k])
+            log_jacobian[k] = _exact_logj(fld, prep, pts0, float(t))
         return FlowEnsemble(fld, cfg, pts0, times, positions, displacements, log_jacobian)
 
     # rk4_event: forward chain over nonnegative times, backward over negatives
@@ -647,11 +643,17 @@ class FlowMap(ABC):
 
     A subclass implements ``displacement`` (the unwrapped X(t, x) - x)
     and ``log_jacobian``; ``position`` and ``density`` follow from them.
-    The functionals also call three hooks, no-ops here: ``prepare``
-    announces the times about to be queried, and ``begin_batch`` /
-    ``end_batch`` bracket many queries on one point set.  A map with an
-    approximation error reports it through ``interpolation_error``.
+    ``prepare`` announces the times about to be queried (a no-op here).
+    ``begin_batch`` / ``end_batch`` bracket many queries on one point
+    set: the batch keeps that set's ``_point_state``, the work every time
+    and channel shares (none here), and :meth:`_state` hands it to each
+    query that passes that very array.  The identity check is safe
+    because the batch holds a reference to the array, so its id cannot
+    be reused while the batch is open.  A map with an approximation
+    error reports it through ``interpolation_error``.
     """
+
+    _batch = None  # (pts, its point state) while a batch is open
 
     @abstractmethod
     def displacement(self, t: float, pts) -> np.ndarray:
@@ -673,10 +675,23 @@ class FlowMap(ABC):
         pass
 
     def begin_batch(self, pts) -> None:
-        pass
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        self._batch = (pts, self._point_state(pts))
 
     def end_batch(self) -> None:
-        pass
+        self._batch = None
+
+    def _point_state(self, pts):
+        """The time-independent work of queries at ``pts`` (M, 2)."""
+        return None
+
+    def _state(self, pts):
+        """(pts as an (M, 2) float array, its point state): the open
+        batch's for that very array, else built afresh."""
+        if self._batch is not None and self._batch[0] is pts:
+            return self._batch
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return pts, self._point_state(pts)
 
     def interpolation_error(self, t: float):
         """(max position error, max log J error) of the map at time t."""
@@ -686,40 +701,25 @@ class FlowMap(ABC):
 class ExactFlowMap(FlowMap):
     """Closed-form flow map; supports fields B, C, D and E (forward).
 
-    ``begin_batch`` computes the time-independent part of the closed form
-    (:func:`_exact_prep`) once, so the quadrature engines can sweep many
-    times over one point set cheaply.  Queries reuse it when they pass
-    that very array; the identity check is safe because the batch holds a
-    reference to the array, so its id cannot be reused while the batch is
-    open.
+    The point state is the time-independent part of the closed form
+    (:func:`_exact_prep`), so a batch lets the quadrature engines sweep
+    many times over one point set cheaply.
     """
 
     def __init__(self, fld: PiecewiseField):
         if fld.id == "A":
             raise ValueError("field A has no closed-form flow map")
         self.field = fld
-        self._batch = None
 
-    def begin_batch(self, pts) -> None:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        self._batch = (pts, _exact_prep(self.field, pts))
-
-    def end_batch(self) -> None:
-        self._batch = None
-
-    def _prep(self, pts):
-        """(pts as an (M, 2) float array, its :func:`_exact_prep`)."""
-        if self._batch is not None and self._batch[0] is pts:
-            return self._batch
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return pts, _exact_prep(self.field, pts)
+    def _point_state(self, pts):
+        return _exact_prep(self.field, pts)
 
     def displacement(self, t: float, pts) -> np.ndarray:
-        pts, prep = self._prep(pts)
+        pts, prep = self._state(pts)
         return _exact_disp(self.field, prep, pts, t)
 
     def log_jacobian(self, t: float, pts) -> np.ndarray:
-        pts, prep = self._prep(pts)
+        pts, prep = self._state(pts)
         return _exact_logj(self.field, prep, pts, t)
 
     def density(self, t: float, pts) -> np.ndarray:
@@ -728,7 +728,7 @@ class ExactFlowMap(FlowMap):
         if self.field.id in ("C", "D"):
             return np.ones(np.atleast_2d(pts).shape[0])
         if self.field.id == "B":
-            near_fixed, ratio, at_fixed = _exact_b_jacobian(self._prep(pts)[1], t)
+            near_fixed, ratio, at_fixed = _exact_b_jacobian(self._state(pts)[1], t)
             return np.where(near_fixed, np.exp(at_fixed), ratio)
         return super().density(t, pts)
 
@@ -805,10 +805,9 @@ class InterpolatedFlowMap(FlowMap):
     node operator, applied in Fourier space with numpy's FFT
     (:func:`_spline_prefilter`).  A query is a sparse product with the
     points' tap-weight matrix (:func:`_spline_matrix`, which loads
-    ``scipy.sparse`` on its first call); ``begin_batch`` builds
-    that matrix once for a point set, and every time and channel queried
-    on that very array reuses it (the identity check is safe for the
-    reason given in :class:`ExactFlowMap`).  ``interpolation_error``
+    ``scipy.sparse`` on its first call).  That matrix is the point
+    state, so a batch builds it once and every time and channel queried
+    on that very array reuses it.  ``interpolation_error``
     integrates a pseudo-random sample of query points directly and
     reports the worst deviation, which the functionals fold into their
     reported error bounds.
@@ -830,7 +829,6 @@ class InterpolatedFlowMap(FlowMap):
         ).reshape(-1, 2)
         self._tables: dict = {}
         self._err_cache: dict = {}
-        self._batch = None
 
     def prepare(self, times) -> None:
         """Integrate the grid ensemble through all requested times at once."""
@@ -852,25 +850,15 @@ class InterpolatedFlowMap(FlowMap):
             self.prepare([key])
         return self._tables[key]
 
-    def begin_batch(self, pts) -> None:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        self._batch = (pts, _spline_matrix(pts, self.grid_n))
-
-    def end_batch(self) -> None:
-        self._batch = None
-
-    def _matrix(self, pts):
-        """The tap-weight matrix of pts: the batch's for that very array."""
-        if self._batch is not None and self._batch[0] is pts:
-            return self._batch[1]
-        return _spline_matrix(np.atleast_2d(np.asarray(pts, dtype=float)), self.grid_n)
+    def _point_state(self, pts):
+        return _spline_matrix(pts, self.grid_n)
 
     def displacement(self, t: float, pts) -> np.ndarray:
-        s, table = self._matrix(pts), self._lookup(t)
+        s, table = self._state(pts)[1], self._lookup(t)
         return np.stack([s @ table[0], s @ table[1]], axis=-1)
 
     def log_jacobian(self, t: float, pts) -> np.ndarray:
-        return self._matrix(pts) @ self._lookup(t)[2]
+        return self._state(pts)[1] @ self._lookup(t)[2]
 
     def interpolation_error(self, t: float):
         """(max position error, max log J error) against direct integration
@@ -899,28 +887,26 @@ class DirectFlowMap(FlowMap):
     the requested points, so the only error is the solver's.  Intended
     for x-grid-sized query sets (the L^1 discrepancy and Gronwall
     machinery); the pair-grid functionals use the interpolated map
-    instead.  The last few (time, points) results are memoized, keyed on
-    the time and the points' contents.
+    instead.  Nothing is kept between calls, except inside a batch: there
+    the point state holds each queried time's solution, so a time's
+    displacement and log J come from one solve.
     """
 
     def __init__(self, fld: PiecewiseField, cfg: FlowSolverConfig | None = None):
         self.field = fld
         self.config = cfg or FlowSolverConfig()
-        self._cache: dict = {}
+
+    def _point_state(self, pts):
+        return {}
 
     def _solve(self, t: float, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        key = (round(float(t), 12), pts.shape, pts.tobytes())
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        ens = integrate_flow(self.field, self.config, pts, [0.0, t])
-        k = ens.time_index(t)
-        out = (ens.displacements[k], ens.log_jacobian[k])
-        if len(self._cache) > 12:
-            self._cache.clear()
-        self._cache[key] = out
-        return out
+        pts, solved = self._state(pts)
+        t = float(t)
+        if t not in solved:
+            ens = integrate_flow(self.field, self.config, pts, [0.0, t])
+            k = ens.time_index(t)
+            solved[t] = ens.displacements[k], ens.log_jacobian[k]
+        return solved[t]
 
     def displacement(self, t: float, pts) -> np.ndarray:
         return self._solve(t, pts)[0]

@@ -54,6 +54,7 @@ times for the eqfin residual, the I2 limit and C(t).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -97,7 +98,7 @@ class FunctionalConfig:
     n_x: int = 64
     n_z: int = 64
     dt_fd: float = 1e-3
-    nodes_per_panel: int = 8
+    nodes_per_panel: ClassVar[int] = 8  # Gauss nodes per strip panel of the pair x-grids
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 0.5:
@@ -382,11 +383,14 @@ def R_a_check(field: PiecewiseField, kernel: AnisotropicKernel, x,
 
 
 def singular_bound(field: PiecewiseField, kernel: AnisotropicKernel,
-                   c_t: float = 1.0, n_z: int = 128) -> float:
-    """The computable majorant of the singular contribution to I2:
+                   n_z: int = 128) -> float:
+    """The computable majorant of the singular contribution to I2 at
+    density bound C(t) = 1:
 
-        2 C(t)^2 int_Sigma [ int |<d2 rho(x, z), xi_b>| |<eta_b, z>| dz ]
-                            sigma(x) dH(x).
+        2 int_Sigma [ int |<d2 rho(x, z), xi_b>| |<eta_b, z>| dz ]
+                    sigma(x) dH(x);
+
+    a report row scales it by C(t)^2.
 
     With the kernel direction equal to the jump normal this decays
     exactly like 1/(1+gamma) (the w = U z substitution).  The surface
@@ -410,7 +414,7 @@ def singular_bound(field: PiecewiseField, kernel: AnisotropicKernel,
             for p in jump.nodes(m)
         ])
         total += float(np.sum(k_vals)) * jump.sigma * jump.length / m
-    return 2.0 * c_t**2 * total
+    return 2.0 * total
 
 
 def _polar_z_grid(kernel, x, n_z):
@@ -430,9 +434,9 @@ def _singular_z_integral(grid, xi, eta_b):
     return float(np.sum(vals * z_wts))
 
 
-def profile_derivative_mass(kernel: AnisotropicKernel, n: int = 400) -> float:
-    """K(F0) = int |F0'(|w|^2)| |w|^2 dw  (radial, quadrature in r)."""
-    gl_x, gl_w = gauss_legendre(n)
+def profile_derivative_mass(kernel: AnisotropicKernel) -> float:
+    """K(F0) = int |F0'(|w|^2)| |w|^2 dw  (radial, 400-node Gauss in r)."""
+    gl_x, gl_w = gauss_legendre(400)
     r = 0.5 * (gl_x + 1.0)
     w = 0.5 * gl_w
     vals = np.abs(kernel.profile.f0_prime(r * r, kernel.dim)) * r**3
@@ -440,10 +444,11 @@ def profile_derivative_mass(kernel: AnisotropicKernel, n: int = 400) -> float:
 
 
 def singular_bound_envelope(field: PiecewiseField, kernel: AnisotropicKernel,
-                            misalignment: float, c_t: float = 1.0) -> float:
-    """Explicit-constant right-hand side of the misalignment bound:
+                            misalignment: float) -> float:
+    """Explicit-constant right-hand side of the misalignment bound at
+    density bound C(t) = 1:
 
-        2 C(t)^2 K(F0) (1/(1+gamma) + 2 d + gamma d^2) |D^s b|,
+        2 K(F0) (1/(1+gamma) + 2 d + gamma d^2) |D^s b|,
 
     with d the pointwise |eta - eta_b| on the jump set and K(F0) the
     derivative mass of the profile.  Every step in its derivation is a
@@ -454,7 +459,7 @@ def singular_bound_envelope(field: PiecewiseField, kernel: AnisotropicKernel,
     k_f0 = profile_derivative_mass(kernel)
     gamma = kernel.gamma
     envelope = 1.0 / (1.0 + gamma) + 2.0 * d + gamma * d * d
-    return 2.0 * c_t**2 * k_f0 * envelope * cat.total_jump_mass(field)
+    return 2.0 * k_f0 * envelope * cat.total_jump_mass(field)
 
 
 def gamma_eta_tradeoff(field: PiecewiseField, gammas, deltas) -> dict:
@@ -578,10 +583,15 @@ def _l1_integrals(flow_x, flow_y, field, times, n_x) -> dict:
     DIV_SUP  sup |div b| over the grid (the same at every time)
 
     The grid and div b are built once; repeated times are evaluated once.
+    The grid is one batch on each map (one on both when they are the same
+    map), so each map's point state is built once for all times.
     """
     pts, wts = volume_quadrature(field, n_x)
     div = field.divergence_many(pts)
     div_sup = float(np.abs(div).max())
+    flow_x.begin_batch(pts)
+    if flow_y is not flow_x:
+        flow_y.begin_batch(pts)
     out = {}
     for t in dict.fromkeys(float(t) for t in times):
         dist = torus_distance(flow_x.position(t, pts), flow_y.position(t, pts))
@@ -593,6 +603,8 @@ def _l1_integrals(flow_x, flow_y, field, times, n_x) -> dict:
             "C": max(float(mu1.max()), float(mu2.max())),
             "DIV_SUP": div_sup,
         }
+    flow_x.end_batch()
+    flow_y.end_batch()
     return out
 
 
@@ -670,7 +682,7 @@ def uniqueness_report(field, flow_x, flow_y, kernel, cfg: FunctionalConfig,
     """
     if field.singular_divergence_violation() > 1e-9:
         grid = QuadratureGrid.torus(256).nodes
-        t_branch = min(0.3, 0.49)
+        t_branch = 0.3
         z_l, z_r = collision_branch_maps(grid, t_branch)
         branch = float(np.mean(torus_distance(z_l, z_r)))
         return UniquenessReport(

@@ -612,9 +612,11 @@ def test_spline_node_check_catches_a_symbol_error(monkeypatch):
     assert spline_node_error(small_spline_map("A"), 0.3) > PREFILTER_NODE_TOL
 
 
-@pytest.mark.parametrize("fid", ["A", "B"])
+@pytest.mark.parametrize("fid", ["A", "B", "direct-B"])
 def test_spline_batch_matches_plain_and_serves_only_its_array(fid):
-    fm = small_spline_map(fid)
+    # the direct map's batch state is its per-time solutions
+    fm = (DirectFlowMap(get_field("B"), FlowSolverConfig(step=1e-2)) if fid == "direct-B"
+          else small_spline_map(fid))
     pts = spline_query_points()
     other = pts.copy()
     other[::2] += 0.1
@@ -681,18 +683,19 @@ def test_exact_map_new_batch_drops_memo():
     fm.begin_batch(p1)
     fm.displacement(0.3, p1)
     fm.begin_batch(p2)
-    exact, _ = flow._exact_displacement(fm.field, p2, 0.3)
-    assert np.array_equal(fm.displacement(0.3, p2), exact)
+    assert np.array_equal(fm.displacement(0.3, p2),
+                          ExactFlowMap(fm.field).displacement(0.3, p2))
 
 
 def test_direct_flow_map_never_returns_another_arrays_result():
-    # fresh arrays may reuse a freed array's address; the memo must not care
+    # fresh arrays may reuse a freed array's address; no result may carry over
     fld = get_field("B")
     fm = DirectFlowMap(fld, FlowSolverConfig(step=1e-2))
+    exact_map = ExactFlowMap(fld)
     stale = 0
     for i in range(50):
         pts = np.random.default_rng(i).random((64, 2))
-        exact, _ = flow._exact_displacement(fld, pts, 0.3)
+        exact = exact_map.displacement(0.3, pts)
         err = np.max(np.abs(fm.displacement(0.3, pts) - exact))
         stale += int(err > 1e-6)
     assert stale == 0

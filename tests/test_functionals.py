@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -59,13 +60,13 @@ class ClosedFormMap(flow.FlowMap):
     """The protocol's minimum: only displacement and log J, no hooks."""
 
     def __init__(self, fld):
-        self.field = fld
+        self.exact = ExactFlowMap(fld)
 
     def displacement(self, t, pts):
-        return flow._exact_displacement(self.field, pts, t)[0]
+        return self.exact.displacement(t, pts)
 
     def log_jacobian(self, t, pts):
-        return flow._exact_displacement(self.field, pts, t)[1]
+        return self.exact.log_jacobian(t, pts)
 
 
 class ExpDensityExactMap(ExactFlowMap):
@@ -89,6 +90,29 @@ def test_minimal_flow_map_runs_through_the_functionals():
         fn.decomposition_check(exact, exact, b, kern, cfg, 0.3)
     assert fn.eqfin_residual(minimal, minimal, b, 0.3, n_x=16) == \
         fn.eqfin_residual(exact, exact, b, 0.3, n_x=16)
+
+
+def test_l1_grid_builds_each_maps_point_state_once(monkeypatch):
+    # one eqfin_residual call is one L^1 grid at three times: each map
+    # builds its point state once for the grid, and the direct map solves
+    # once per time
+    calls = collections.Counter()
+    for name in ("_exact_prep", "_spline_matrix", "integrate_flow"):
+        def counted(*args, _name=name, _original=getattr(flow, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(flow, name, counted)
+    b, c = get_field("B"), get_field("C")
+    fn.eqfin_residual(ExactFlowMap(c), ExactFlowMap(c), c, 0.3, n_x=16)
+    assert calls["_exact_prep"] == 2
+    calls.clear()
+    fx = InterpolatedFlowMap(b, FlowSolverConfig(step=1e-2), grid_n=16)
+    fn.eqfin_residual(fx, ExactFlowMap(b), b, 0.3, n_x=16)
+    assert (calls["_spline_matrix"], calls["_exact_prep"]) == (1, 1)
+    calls.clear()
+    fn.eqfin_residual(DirectFlowMap(b, FlowSolverConfig(step=1e-2)), ExactFlowMap(b), b,
+                      0.3, n_x=16)
+    assert calls["integrate_flow"] == 3
 
 
 def test_functional_config_validation():
@@ -480,6 +504,6 @@ def test_discrepancy_report_row_equals_separate_routes(fid, eta, gamma):
     assert row.I2_a_limit == div_term
     assert row.eqfin_residual == fn.eqfin_residual(fx, fy, fld, t, n_x=cfg.n_x,
                                                    dt=cfg.dt_fd)
-    assert row.singular_bound == fn.singular_bound(fld, kern, c_t=c_t)
+    assert row.singular_bound == c_t**2 * fn.singular_bound(fld, kern)
     assert (row.field_id, row.epsilon, row.gamma, row.t, row.n_x, row.n_z) == (
         fid, cfg.epsilon, gamma, t, cfg.n_x, cfg.n_z)
