@@ -54,6 +54,7 @@ from __future__ import annotations
 import logging
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -221,26 +222,37 @@ def _nudge_initial_points(fld: PiecewiseField, y):
 # ---------------------------------------------------------------------------
 
 
+class _BPrep(NamedTuple):
+    """Field B's time-independent point state, with u = x1 mod 1."""
+
+    u: np.ndarray
+    tan_u: np.ndarray  # tan(pi u)
+    upper: np.ndarray  # u > 1/2
+    fixed: np.ndarray  # at a fixed point 0 or 1/2
+    near_fixed: np.ndarray  # |sin(2 pi u)| < 1e-9, where the Jacobian uses its limit
+    safe_s0: np.ndarray  # sin(2 pi u), 1 at the near-fixed points
+    cos_sign: np.ndarray  # sign(cos(2 pi u))
+
+
 def _exact_prep(fld: PiecewiseField, pts):
     """The time-independent part of a closed-form flow at ``pts`` (M, 2).
 
-    B: (u, tan(pi u), u > 1/2, fixed-point mask) with u = x1 mod 1;
-    C/D: each point's piece velocity; E: (left-of-interface mask,
-    distance to the interface).  :func:`_exact_disp` and
-    :func:`_exact_logj` evaluate the flow from it at any time.
+    B: a :class:`_BPrep`; C/D: each point's piece velocity; E:
+    (left-of-interface mask, distance to the interface).
+    :func:`_exact_disp` and :func:`_exact_logj` evaluate the flow from it
+    at any time.
     """
     if fld.id == "B":
         u = np.mod(pts[:, 0], 1.0)
         # exact fixed points stay put (tan is finite garbage at 0.5 + eps scale)
         fixed = np.minimum(np.abs(u), np.minimum(np.abs(u - 0.5), np.abs(u - 1.0))) < 1e-14
-        return u, np.tan(np.pi * u), u > 0.5, fixed
+        s0 = np.sin(TWO_PI * u)
+        near_fixed = np.abs(s0) < 1e-9
+        return _BPrep(u, np.tan(np.pi * u), u > 0.5, fixed, near_fixed,
+                      np.where(near_fixed, 1.0, s0), np.sign(np.cos(TWO_PI * u)))
     if fld.id in ("C", "D"):
-        piece = fld.piece_index(wrap_coords(pts))
-        return np.where(
-            piece[:, None] == 0,
-            np.asarray(fld.pieces[0].b(np.zeros((1, 2))))[0],
-            np.asarray(fld.pieces[1].b(np.zeros((1, 2))))[0],
-        )
+        velocities = np.array([np.asarray(pc.b(np.zeros((1, 2))))[0] for pc in fld.pieces])
+        return np.take(velocities, fld.piece_index(wrap_coords(pts)), axis=0)
     if fld.id == "E":
         s = np.mod(pts[:, 0], 1.0)
         left = s < 0.5
@@ -256,9 +268,8 @@ def _exact_b_x1(prep, t):
     tan(pi x(t)) = tan(pi x(0)) exp(2 pi t) separately on (0, 1/2) and
     (1/2, 1); 0 and 1/2 are fixed points.
     """
-    u, tan_u, upper, fixed = prep
-    val = np.arctan(tan_u * np.exp(TWO_PI * t)) / np.pi
-    return np.where(fixed, u, np.where(upper, 1.0 + val, val))
+    val = np.arctan(prep.tan_u * np.exp(TWO_PI * t)) / np.pi
+    return np.where(prep.fixed, prep.u, np.where(prep.upper, 1.0 + val, val))
 
 
 def _exact_e_forward(pts, t):
@@ -275,7 +286,7 @@ def _exact_disp(fld: PiecewiseField, prep, pts, t: float):
     disp = np.zeros_like(pts)
     if fld.id == "B":
         # unwrapped: trajectories never leave their half-interval
-        disp[:, 0] = _exact_b_x1(prep, t) - prep[0]
+        disp[:, 0] = _exact_b_x1(prep, t) - prep.u
     else:
         _exact_e_forward(pts, t)
         left, hit = prep
@@ -287,14 +298,9 @@ def _exact_disp(fld: PiecewiseField, prep, pts, t: float):
 def _exact_b_jacobian(prep, t):
     """Field B's Jacobian in two parts: (near-fixed mask, |sin(2 pi x(t)) /
     sin(2 pi x(0))| off the fixed points, log J = +-2 pi t at them)."""
-    u = prep[0]
-    s0 = np.sin(TWO_PI * u)
     st = np.sin(TWO_PI * _exact_b_x1(prep, t))
-    near_fixed = np.abs(s0) < 1e-9
-    safe_s0 = np.where(near_fixed, 1.0, s0)
-    safe_st = np.where(near_fixed, 1.0, st)
-    at_fixed = TWO_PI * t * np.sign(np.cos(TWO_PI * u))
-    return near_fixed, np.abs(safe_st / safe_s0), at_fixed
+    safe_st = np.where(prep.near_fixed, 1.0, st)
+    return prep.near_fixed, np.abs(safe_st / prep.safe_s0), TWO_PI * t * prep.cos_sign
 
 
 def _exact_logj(fld: PiecewiseField, prep, pts, t: float):

@@ -34,14 +34,14 @@ normal Gauss-Legendre panels) with the panels split both at the jump
 surfaces and at their eps<n, z>-shifted copies, so every x-integrand is
 smooth on every panel and the quadrature carries no jump-boundary error.
 z-nodes sharing the same shift are processed against one x-grid (a
-smooth field has a single group); the cell-centered w-grid makes those
-groups large for every catalog field.  A group is swept in z-chunks of
-at most :data:`PAIR_CHUNK` (x, z) pairs, which bounds the pair arrays
+smooth field has a single group).  A sweep builds every group's x-grid
+first and evaluates the x-only factors (b(x), and per time the first
+flow's displacement and the x-weight times its density) for all of them
+in one batch of the first flow; with a constant kernel direction rho and
+d2 rho are evaluated once for all z-nodes.  A group is swept in z-chunks
+of at most :data:`PAIR_CHUNK` (x, z) pairs, which bounds the pair arrays
 and the second flow's per-batch state (a spline tap-weight matrix costs
-about 192 bytes per pair).  The x-only factors (b(x), and per time the
-first flow's displacement and the x-weight times its density) are
-evaluated once per x point set and shared by every z-chunk paired with
-that set.  Gauss-Legendre rules come from
+about 192 bytes per pair).  Gauss-Legendre rules come from
 :func:`bvflow.torus.gauss_legendre`, built once per order.
 
 A report row (:func:`discrepancy_report`) is one pair sweep over the
@@ -149,6 +149,12 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
             theta)
     MASS    int int rho mu1 mu2 (used in error propagation)
     I1_ABS / I2_ABS   same integrands against |integrand| (error budget)
+
+    The sweep builds the x-grid of every z-shift group first and
+    evaluates the x-only factors of all of them in one batch of
+    ``flow_x``; with a constant kernel direction rho and d2 rho are
+    evaluated once for all z-nodes.  Each group is then swept in z-chunks
+    of at most :data:`PAIR_CHUNK` pairs.
     """
     eps = cfg.epsilon
     want = tuple(want)
@@ -166,33 +172,43 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     else:
         theta_nodes = theta_wts = None
 
-    def x_factors(x_pts, x_wts):
-        """The x-only factors shared by every z-chunk paired with this x
-        point set: b(x) when an integrand needs it, and for every time
-        flow_x's displacement and the weight x_wts * mu1."""
-        bx = None
-        if "I2" in want or "I2_ABS" in want or (
-            not kernel.eta.is_constant and ("I1" in want or "I1_ABS" in want)
-        ):
-            bx = field.eval_many(x_pts)
-        flow_x.begin_batch(x_pts)
-        per_t = {t: (flow_x.displacement(t, x_pts), x_wts * flow_x.density(t, x_pts))
-                 for t in times}
-        flow_x.end_batch()
-        return bx, per_t
+    groups = _z_shift_groups(field, z_pts, eps)
+    grids = [
+        volume_quadrature(field, cfg.n_x, cfg.nodes_per_panel,
+                          extra_breakpoints=[b - shift for b in field.strip_bounds])
+        for shift, _ in groups
+    ]
+    x_all = np.concatenate([x_pts for x_pts, _ in grids])
+    w_all = np.concatenate([x_wts for _, x_wts in grids])
 
-    def accumulate(x_pts, x_side, z_chunk, zw_chunk):
-        """x_pts (P,2) paired against every z in the chunk (Q,2)."""
-        bx, per_t = x_side
+    # the x-only factors of every group: b(x) when an integrand needs it,
+    # and for every time flow_x's displacement and the weight x_wts * mu1
+    bx_all = None
+    if "I2" in want or "I2_ABS" in want or (
+        not kernel.eta.is_constant and ("I1" in want or "I1_ABS" in want)
+    ):
+        bx_all = field.eval_many(x_all)
+    flow_x.begin_batch(x_all)
+    per_t = {t: (flow_x.displacement(t, x_all), w_all * flow_x.density(t, x_all))
+             for t in times}
+    flow_x.end_batch()
+    if kernel.eta.is_constant:
+        rho_all = kernel.rho(None, z_pts)
+        d2_all = kernel.d2_rho(None, z_pts)
+
+    def accumulate(rows, sel):
+        """The group's x-grid (the ``rows`` of the sweep's x-points) paired
+        against the z-nodes ``sel``, as (q, P) arrays with one row per z."""
+        x_pts = x_all[rows]
+        bx = None if bx_all is None else bx_all[rows]
+        z_chunk, zw_chunk = z_pts[sel], z_wts[sel]
         p, q = x_pts.shape[0], z_chunk.shape[0]
         y_pts = (x_pts[None, :, :] + eps * z_chunk[:, None, :]).reshape(-1, 2)
         # time-independent factors
         g1 = None
         if kernel.eta.is_constant:
-            rho = kernel.rho(None, z_chunk)[:, None]  # (q,1)
-            d2 = np.broadcast_to(
-                kernel.d2_rho(None, z_chunk)[:, None, :], (q, p, 2)
-            )
+            rho = rho_all[sel][:, None]  # (q,1)
+            d2 = np.broadcast_to(d2_all[sel][:, None, :], (q, p, 2))
         else:
             x_tile = np.broadcast_to(x_pts, (q, p, 2)).reshape(-1, 2)
             z_tile = np.repeat(z_chunk, p, axis=0)
@@ -219,7 +235,7 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
 
         flow_y.begin_batch(y_pts)
         for t in times:
-            dx, xw_mu1 = per_t[t]  # (P,2), (P,)
+            dx, xw_mu1 = (a[rows] for a in per_t[t])  # (P,2), (P,)
             dy = flow_y.displacement(t, y_pts).reshape(q, p, 2)
             sep = dx[None, :, :] - eps * z_chunk[:, None, :] - dy
             sep -= np.rint(sep)  # minimal image; a tie at +-1/2 has the same norm
@@ -243,16 +259,14 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
                 tot["I2a"] += float(np.sum(dist * g2a * ww))
         flow_y.end_batch()
 
-    for shift, idx in _z_shift_groups(field, z_pts, eps):
-        x_pts, x_wts = volume_quadrature(
-            field, cfg.n_x, cfg.nodes_per_panel,
-            extra_breakpoints=[b - shift for b in field.strip_bounds],
-        )
-        x_side = x_factors(x_pts, x_wts)
-        chunk = max(1, PAIR_CHUNK // x_pts.shape[0])
+    start = 0
+    for (_, idx), (x_pts, _) in zip(groups, grids):
+        p = x_pts.shape[0]
+        rows = slice(start, start + p)
+        start += p
+        chunk = max(1, PAIR_CHUNK // p)
         for lo in range(0, idx.size, chunk):
-            sel = idx[lo : lo + chunk]
-            accumulate(x_pts, x_side, z_pts[sel], z_wts[sel])
+            accumulate(rows, idx[lo : lo + chunk])
     return totals
 
 
@@ -365,21 +379,28 @@ def decomposition_check(flow_x, flow_y, field, kernel, cfg: FunctionalConfig,
 
 
 def R_a_check(field: PiecewiseField, kernel: AnisotropicKernel, x,
-              n_z: int = 200) -> float:
+              n_z: int = 200):
     """Residual of the integration-by-parts identity
 
         int <d2 rho(x, z), grad_a b(x) z> dz  =  - div_a b(x).
 
     The identity holds for every admissible kernel, isotropic or not;
-    the return value is the left side plus div_a b(x).
+    the return value is the left side plus div_a b(x): a float for one
+    point x (2,), an (M,) array for M points (M, 2).  With a constant
+    kernel direction the polar z-grid and its d2 rho are built once for
+    all points; otherwise each point takes its own.
     """
-    x = np.asarray(x, dtype=float).reshape(1, 2)
-    a = field.grad_a(x[0])
-    z_pts, z_wts, d2 = _polar_z_grid(
-        kernel, None if kernel.eta.is_constant else x[0], n_z
-    )
-    integrand = np.einsum("qi,ij,qj->q", d2, a, z_pts)
-    return float(np.sum(integrand * z_wts) + np.trace(a))
+    pts = np.asarray(x, dtype=float)
+    single = pts.ndim == 1
+    pts = pts.reshape(-1, 2)
+    shared = _polar_z_grid(kernel, None, n_z) if kernel.eta.is_constant else None
+    out = np.empty(pts.shape[0])
+    for m, pt in enumerate(pts):
+        a = field.grad_a(pt)
+        z_pts, z_wts, d2 = shared if shared is not None else _polar_z_grid(kernel, pt, n_z)
+        integrand = np.einsum("qi,ij,qj->q", d2, a, z_pts)
+        out[m] = np.sum(integrand * z_wts) + np.trace(a)
+    return float(out[0]) if single else out
 
 
 def singular_bound(field: PiecewiseField, kernel: AnisotropicKernel,

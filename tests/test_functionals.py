@@ -115,6 +115,42 @@ def test_l1_grid_builds_each_maps_point_state_once(monkeypatch):
     assert calls["integrate_flow"] == 3
 
 
+def test_pair_sweep_evaluates_the_x_side_in_one_batch():
+    # the x-points of every z-shift group form one batch of the first map,
+    # and a constant-direction kernel is evaluated once for all z-nodes
+    d = get_field("D")
+    batches = []
+    kernel_calls = []
+
+    class Recording(ExactFlowMap):
+        def begin_batch(self, pts):
+            batches.append(np.shape(pts)[0])
+            super().begin_batch(pts)
+
+    class CountingKernel(AnisotropicKernel):
+        def rho(self, x, z):
+            kernel_calls.append("rho")
+            return super().rho(x, z)
+
+        def d2_rho(self, x, z):
+            kernel_calls.append("d2_rho")
+            return super().d2_rho(x, z)
+
+    cfg = fn.FunctionalConfig(epsilon=0.05, n_x=10, n_z=10)
+    kern = CountingKernel(poly_bump, DirectionField.constant(d.strip_normal), 3.0)
+    fn.pair_integrals_multi(Recording(d), ExactFlowMap(d), d, kern, cfg, [0.3], ("D",))
+    assert sorted(kernel_calls) == ["d2_rho", "rho"]
+    z_pts, _ = kern.z_quadrature(None, cfg.n_z)
+    groups = fn._z_shift_groups(d, z_pts, cfg.epsilon)
+    assert len(groups) > 1
+    assert len(batches) == 1
+    assert batches[0] == sum(
+        volume_quadrature(d, cfg.n_x, cfg.nodes_per_panel,
+                          extra_breakpoints=[b - s for b in d.strip_bounds])[0].shape[0]
+        for s, _ in groups
+    )
+
+
 def test_functional_config_validation():
     with pytest.raises(ValueError):
         fn.FunctionalConfig(epsilon=0.5)
@@ -296,6 +332,24 @@ def test_r_a_identity():
     a = get_field("A")
     res = fn.R_a_check(a, kernel_c(10.0, smooth_exp), (0.37, 0.81), n_z=200)
     assert abs(res) < 1e-6
+
+
+@pytest.mark.parametrize("fid,eta", [
+    ("A", ETA_X),
+    ("B", DirectionField.constant((1.0, 2.0))),
+    ("A", DirectionField.mollified_normal(get_field("C"), 0.1)),
+])
+def test_r_a_check_at_many_points_equals_single_point_calls(fid, eta):
+    # one call at M points shares the constant-direction grid and returns
+    # the bits of M single-point calls
+    fld = get_field(fid)
+    kern = AnisotropicKernel(smooth_exp, eta, 4.0)
+    pts = np.random.default_rng(5).random((4, 2))
+    many = fn.R_a_check(fld, kern, pts, n_z=40)
+    assert many.shape == (4,)
+    assert many.tolist() == [fn.R_a_check(fld, kern, p, n_z=40) for p in pts]
+    assert all(isinstance(fn.R_a_check(fld, kern, p, n_z=40), float) for p in pts)
+    assert np.all(many != 0.0) and np.all(np.abs(many) < 1e-4)
 
 
 def test_singular_bound_gamma_scaling_and_oracle():
