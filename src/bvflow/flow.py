@@ -38,12 +38,13 @@ protocol, :class:`FlowMap`: a subclass supplies ``displacement(t, pts)``
 and ``log_jacobian(t, pts)``, and the base class derives ``position``
 and ``density`` and supplies a no-op ``prepare`` hook and a zero
 ``interpolation_error``.  The base class also owns the one batch
-mechanism: ``begin_batch(pts)`` keeps the work a map shares across all
-queries on that point set (its ``_point_state``), and every query on
-that very array reuses it until ``end_batch``.  Three maps implement
-the protocol: :class:`ExactFlowMap` (the closed forms),
-:class:`InterpolatedFlowMap` (RK4 on a grid plus splines) and
-:class:`DirectFlowMap` (RK4 on the query points).
+mechanism: ``begin_batch(pts, times)`` keeps the work a map shares
+across all queries on that point set and those times (its
+``_point_state``), and every query on that very array reuses it until
+``end_batch``.  Three maps implement the protocol:
+:class:`ExactFlowMap` (the closed forms), :class:`InterpolatedFlowMap`
+(RK4 on a grid plus splines) and :class:`DirectFlowMap` (RK4 on the
+query points).
 
 Trajectories are independent and all operations are vectorized numpy
 with fixed reduction order, so results are reproducible bit-for-bit.
@@ -324,8 +325,11 @@ def integrate_flow(fld: PiecewiseField, cfg: FlowSolverConfig, initial_points,
                    times) -> FlowEnsemble:
     """Integrate the flow of ``fld`` from each initial point.
 
-    ``times`` must contain 0; positive and negative output times are
-    reached by forward and backward chains from 0.
+    ``times`` must contain 0; they may come in any order and repeat.
+    Every time is computed exactly as by a call with ``[0, t]`` alone, to
+    the last bit, so a result never depends on which other times were
+    asked with it.  Under ``rk4_event`` one march from 0 per direction
+    serves all the times of that sign (:func:`_advance`).
     """
     pts0 = np.atleast_2d(np.asarray(initial_points, dtype=float))
     pts0 = wrap_coords(pts0)
@@ -346,68 +350,100 @@ def integrate_flow(fld: PiecewiseField, cfg: FlowSolverConfig, initial_points,
             log_jacobian[k] = _exact_logj(fld, prep, pts0, float(t))
         return FlowEnsemble(fld, cfg, pts0, times, positions, displacements, log_jacobian)
 
-    # rk4_event: forward chain over nonnegative times, backward over negatives
     y0 = _nudge_initial_points(fld, pts0.copy())
-    order = np.argsort(times)
-    zero_idx = int(np.nonzero(np.isclose(times, 0.0, atol=1e-15))[0][0])
-
-    def run_chain(target_indices):
-        y = y0.copy()
-        logj = np.zeros(m)
-        crossings = np.zeros(m, dtype=int)
-        t_now = 0.0
-        for k in target_indices:
-            t_target = float(times[k])
-            y, logj = _advance(fld, cfg, y, logj, t_target - t_now, crossings)
-            t_now = t_target
-            displacements[k] = y - y0
-            positions[k] = wrap_coords(y)
-            log_jacobian[k] = logj
-
-    displacements[zero_idx] = 0.0
-    positions[zero_idx] = wrap_coords(y0)
-    log_jacobian[zero_idx] = 0.0
-    run_chain([k for k in order if times[k] > 0])
-    run_chain([k for k in reversed(order) if times[k] < 0])
+    positions[:] = wrap_coords(y0)
+    displacements[:] = 0.0
+    log_jacobian[:] = 0.0
+    for sgn in (1.0, -1.0):
+        ks = np.flatnonzero(sgn * times > 0)
+        if ks.size:
+            durations, inverse = np.unique(np.abs(times[ks]), return_inverse=True)
+            y, logj = _advance(fld, cfg, y0, sgn * durations)
+            displacements[ks] = y[inverse] - y0
+            positions[ks] = wrap_coords(y[inverse])
+            log_jacobian[ks] = logj[inverse]
     return FlowEnsemble(fld, cfg, pts0, times, positions, displacements, log_jacobian)
 
 
-def _advance(fld, cfg, y, logj, duration, crossings):
-    """Advance (y, logj) by signed ``duration`` with event handling.
+def _advance(fld, cfg, y, durations):
+    """Advance the points ``y`` (M, 2) from time 0 by each of the signed
+    ``durations``, which share one sign and are sorted by size.  Returns
+    (y, log J) of shape (K, M, 2) and (K, M), one row per duration.
 
-    Smooth fields take fixed steps of ``cfg.step`` (the last one
-    shorter), all points together.  On fields with jumps each point
-    keeps its own remaining time.  Every round tries a full mixed step of
-    sgn min(step, remaining) for every point (zero once its time is used
-    up) and screens it against every surface with two triggers: a sign
-    change of the level value (ordinary crossing), and a "capture" where
-    the step moves toward a surface within reach of it but makes almost
-    no normal progress.  The latter is how an attractive (sliding)
-    interface manifests under RK4, whose stages straddle the surface and
-    cancel.  Points with no event accept the step; :func:`_cross`
-    carries the others across and reports the time each one used, so no
-    point waits for another.  ``crossings`` counts each point's
-    crossings in place.
+    Each duration gets exactly the steps a march to it alone would take.
+    A lone march takes steps of sgn min(step, remaining) and subtracts the
+    time each step uses from its remaining time.  So here every point
+    keeps each pending target's remaining time and subtracts the same
+    times.  While a point's nearest pending target is at least
+    ``cfg.step`` away, every pending target takes the full step, and one
+    shared step serves them all.  When it is not, the state is copied and
+    the copy finishes that target on its own.
+
+    Smooth fields do this with scalar remaining times, all points
+    together.  On fields with jumps each point keeps its own remaining
+    times, and each copy is one more row of the same rounds.  Every round
+    tries a full mixed step of sgn min(step, remaining) for every row and
+    screens it against every surface with two triggers: a sign change of
+    the level value (ordinary crossing), and a "capture" where the step
+    moves toward a surface within reach of it but makes almost no normal
+    progress.  The latter is how an attractive (sliding) interface
+    manifests under RK4, whose stages straddle the surface and cancel.
+    Rows with no event accept the step; :func:`_cross` carries the others
+    across and reports the time each one used, so no row waits for
+    another.  A row that serves several targets reports the remaining
+    time of its farthest one to :func:`_cross`, as the lone march to that
+    target would.
     """
-    if abs(duration) < 1e-15:
-        return y, logj
-    sgn = 1.0 if duration > 0 else -1.0
+    k_count, m = len(durations), y.shape[0]
+    sgn = 1.0 if durations[-1] > 0 else -1.0
+    out_y = np.empty((k_count, m, 2))
+    out_logj = np.empty((k_count, m))
+    logj = np.zeros(m)
     if not fld.has_jumps:
-        remaining = abs(duration)
-        while remaining > 1e-13:
-            h = sgn * min(cfg.step, remaining)
-            y, logj, _ = _rk4_step(fld, y, logj, h)
-            remaining -= abs(h)
-        return y, logj
+        remaining = [abs(float(d)) for d in durations]
+        k = 0
+        while True:
+            while k < k_count and remaining[k] < cfg.step:
+                y_k, logj_k = y, logj
+                if remaining[k] > 1e-13:
+                    y_k, logj_k, _ = _rk4_step(fld, y, logj, sgn * remaining[k])
+                out_y[k], out_logj[k] = y_k, logj_k
+                k += 1
+            if k == k_count:
+                return out_y, out_logj
+            y, logj, _ = _rk4_step(fld, y, logj, sgn * cfg.step)
+            remaining = [r - cfg.step for r in remaining]
     normals = np.array([j.normal_int for j in fld.jumps], dtype=float)
     offsets = np.array([j.offset for j in fld.jumps])
     tol = catalog.TAU_SIGMA
-    remaining = np.full(y.shape[0], abs(duration))
+    # one row per march: row r moves point pt[r] and serves its targets
+    # lo[r] .. last[r], with rem[r, k] the time left to target k
+    pt = np.arange(m)
+    lo = np.zeros(m, dtype=np.intp)
+    last = np.full(m, k_count - 1, dtype=np.intp)
+    rem = np.tile(np.abs(durations), (m, 1))
+    crossings = np.zeros(m, dtype=int)
     while True:
-        live = remaining > 1e-13
-        if not live.any():
-            return y, logj
-        h = np.where(live, sgn * np.minimum(cfg.step, remaining), 0.0)
+        while True:
+            split = np.flatnonzero((lo < last) & (rem[np.arange(pt.size), lo] < cfg.step))
+            if split.size == 0:
+                break
+            pt, y, logj, rem, crossings = (np.concatenate([a, a[split]])
+                                           for a in (pt, y, logj, rem, crossings))
+            last = np.concatenate([last, lo[split]])
+            lo = np.concatenate([lo, lo[split]])
+            lo[split] += 1
+        near = rem[np.arange(pt.size), lo]
+        done = near <= 1e-13
+        if done.any():
+            out_y[lo[done], pt[done]] = y[done]
+            out_logj[lo[done], pt[done]] = logj[done]
+            live = ~done
+            pt, lo, last, rem, crossings, y, logj, near = (
+                a[live] for a in (pt, lo, last, rem, crossings, y, logj, near))
+        if pt.size == 0:
+            return out_y, out_logj
+        h = sgn * np.minimum(cfg.step, near)
         lev0 = _levels(normals, offsets, y)
         y_try, logj_try, b0 = _rk4_step(fld, y, logj, h)
         lev1 = _levels(normals, offsets, y_try)
@@ -433,7 +469,7 @@ def _advance(fld, cfg, y, logj, duration, crossings):
         if hit.size:
             surf = np.argmax(events[:, hit], axis=0)
             y_try[hit], logj_try[hit], used[hit] = _cross(
-                fld, y[hit], logj[hit], h[hit], remaining[hit],
+                fld, y[hit], logj[hit], h[hit], rem[hit, last[hit]],
                 normals[surf], offsets[surf],
             )
             crossings[hit] += 1
@@ -442,7 +478,7 @@ def _advance(fld, cfg, y, logj, duration, crossings):
                     f"field {fld.id}: trajectory exceeded {MAX_CROSSINGS} crossings"
                 )
         y, logj = y_try, logj_try
-        remaining -= used
+        rem -= used[:, None]
 
 
 def _cross(fld, y, logj, h, left, n, off):
@@ -575,8 +611,9 @@ def check_group_property(ensemble: FlowEnsemble, s: float, t: float,
 def check_ode_residual(ensemble: FlowEnsemble, x, t: float) -> float:
     """Torus distance between X(t, x) and x + int_0^t b(X(s, x)) ds.
 
-    The trajectory is re-integrated densely (every solver step stored)
-    and the integral evaluated by the trapezoid rule in s.
+    The trajectory is re-integrated at ceil(|t| / step) + 1 equally
+    spaced times, at most one step apart, and the integral evaluated by
+    the trapezoid rule in s.
     """
     fld = ensemble.field
     cfg = ensemble.config
@@ -650,10 +687,11 @@ class FlowMap(ABC):
     A subclass implements ``displacement`` (the unwrapped X(t, x) - x)
     and ``log_jacobian``; ``position`` and ``density`` follow from them.
     ``prepare`` announces the times about to be queried (a no-op here).
-    ``begin_batch`` / ``end_batch`` bracket many queries on one point
-    set: the batch keeps that set's ``_point_state``, the work every time
-    and channel shares (none here), and :meth:`_state` hands it to each
-    query that passes that very array.  The identity check is safe
+    ``begin_batch(pts, times=())`` / ``end_batch`` bracket many queries
+    on one point set, optionally naming the times that will be asked of
+    it: the batch keeps that set's ``_point_state``, the work those times
+    and every channel share (none here), and :meth:`_state` hands it to
+    each query that passes that very array.  The identity check is safe
     because the batch holds a reference to the array, so its id cannot
     be reused while the batch is open.  A map with an approximation
     error reports it through ``interpolation_error``.
@@ -680,15 +718,16 @@ class FlowMap(ABC):
     def prepare(self, times) -> None:
         pass
 
-    def begin_batch(self, pts) -> None:
+    def begin_batch(self, pts, times=()) -> None:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        self._batch = (pts, self._point_state(pts))
+        self._batch = (pts, self._point_state(pts, times))
 
     def end_batch(self) -> None:
         self._batch = None
 
-    def _point_state(self, pts):
-        """The time-independent work of queries at ``pts`` (M, 2)."""
+    def _point_state(self, pts, times):
+        """The work shared by queries at ``pts`` (M, 2), among them those
+        at ``times``."""
         return None
 
     def _state(self, pts):
@@ -697,7 +736,7 @@ class FlowMap(ABC):
         if self._batch is not None and self._batch[0] is pts:
             return self._batch
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return pts, self._point_state(pts)
+        return pts, self._point_state(pts, ())
 
     def interpolation_error(self, t: float):
         """(max position error, max log J error) of the map at time t."""
@@ -709,7 +748,7 @@ class ExactFlowMap(FlowMap):
 
     The point state is the time-independent part of the closed form
     (:func:`_exact_prep`), so a batch lets the quadrature engines sweep
-    many times over one point set cheaply.
+    many times over one point set cheaply; it ignores the batch's times.
     """
 
     def __init__(self, fld: PiecewiseField):
@@ -717,7 +756,7 @@ class ExactFlowMap(FlowMap):
             raise ValueError("field A has no closed-form flow map")
         self.field = fld
 
-    def _point_state(self, pts):
+    def _point_state(self, pts, times):
         return _exact_prep(self.field, pts)
 
     def displacement(self, t: float, pts) -> np.ndarray:
@@ -807,16 +846,19 @@ class InterpolatedFlowMap(FlowMap):
     interpolates cleanly across the torus seam; positions themselves
     would not.  ``prepare`` stores each time's spline coefficients of
     the two displacement channels and log J as the rows of one (3, n*n)
-    table; the periodic prefilter is the exact inverse of the spline's
-    node operator, applied in Fourier space with numpy's FFT
+    table.  The grid is integrated through all requested times in one
+    call of :func:`integrate_flow`, which computes each time as a solve
+    for it alone would, so a table is a function of its t only.  The
+    periodic prefilter is the exact inverse of the spline's node
+    operator, applied in Fourier space with numpy's FFT
     (:func:`_spline_prefilter`).  A query is a sparse product with the
     points' tap-weight matrix (:func:`_spline_matrix`, which loads
     ``scipy.sparse`` on its first call).  That matrix is the point
     state, so a batch builds it once and every time and channel queried
-    on that very array reuses it.  ``interpolation_error``
-    integrates a pseudo-random sample of query points directly and
-    reports the worst deviation, which the functionals fold into their
-    reported error bounds.
+    on that very array reuses it; the batch's times play no part.
+    ``interpolation_error`` integrates a pseudo-random sample of query
+    points directly and reports the worst deviation, which the
+    functionals fold into their reported error bounds.
     """
 
     def __init__(self, fld: PiecewiseField, cfg: FlowSolverConfig | None = None,
@@ -856,7 +898,7 @@ class InterpolatedFlowMap(FlowMap):
             self.prepare([key])
         return self._tables[key]
 
-    def _point_state(self, pts):
+    def _point_state(self, pts, times):
         return _spline_matrix(pts, self.grid_n)
 
     def displacement(self, t: float, pts) -> np.ndarray:
@@ -893,25 +935,31 @@ class DirectFlowMap(FlowMap):
     the requested points, so the only error is the solver's.  Intended
     for x-grid-sized query sets (the L^1 discrepancy and Gronwall
     machinery); the pair-grid functionals use the interpolated map
-    instead.  Nothing is kept between calls, except inside a batch: there
-    the point state holds each queried time's solution, so a time's
-    displacement and log J come from one solve.
+    instead.  Nothing is kept between calls, except inside a batch: its
+    point state holds the solutions of all the batch's times, from one
+    :func:`integrate_flow` call, and of any other time queried in it, so
+    a time's displacement and log J come from one solve.  Outside a batch
+    each call solves its one time.  Every time's solution is the same to
+    the last bit whichever way it was solved.
     """
 
     def __init__(self, fld: PiecewiseField, cfg: FlowSolverConfig | None = None):
         self.field = fld
         self.config = cfg or FlowSolverConfig()
 
-    def _point_state(self, pts):
-        return {}
+    def _point_state(self, pts, times):
+        """{t: (displacement, log J)} for each of ``times`` (and 0)."""
+        if len(times) == 0:
+            return {}
+        ens = integrate_flow(self.field, self.config, pts, [0.0, *times])
+        return {float(t): (disp, logj) for t, disp, logj
+                in zip(ens.times, ens.displacements, ens.log_jacobian)}
 
     def _solve(self, t: float, pts):
         pts, solved = self._state(pts)
         t = float(t)
         if t not in solved:
-            ens = integrate_flow(self.field, self.config, pts, [0.0, t])
-            k = ens.time_index(t)
-            solved[t] = ens.displacements[k], ens.log_jacobian[k]
+            solved.update(self._point_state(pts, [t]))
         return solved[t]
 
     def displacement(self, t: float, pts) -> np.ndarray:

@@ -152,9 +152,10 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
 
     The sweep builds the x-grid of every z-shift group first and
     evaluates the x-only factors of all of them in one batch of
-    ``flow_x``; with a constant kernel direction rho and d2 rho are
-    evaluated once for all z-nodes.  Each group is then swept in z-chunks
-    of at most :data:`PAIR_CHUNK` pairs.
+    ``flow_x`` over all the times; with a constant kernel direction rho
+    and d2 rho are evaluated once for all z-nodes.  Each group is then
+    swept in z-chunks of at most :data:`PAIR_CHUNK` pairs, and each
+    chunk's y-points are one batch of ``flow_y`` over all the times.
     """
     eps = cfg.epsilon
     want = tuple(want)
@@ -188,7 +189,7 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
         not kernel.eta.is_constant and ("I1" in want or "I1_ABS" in want)
     ):
         bx_all = field.eval_many(x_all)
-    flow_x.begin_batch(x_all)
+    flow_x.begin_batch(x_all, times)
     per_t = {t: (flow_x.displacement(t, x_all), w_all * flow_x.density(t, x_all))
              for t in times}
     flow_x.end_batch()
@@ -233,7 +234,7 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
             dbz = np.einsum("qpij,qj->qpi", davg, z_chunk)
             g2a = -np.einsum("qpi,qpi->qp", d2, dbz)
 
-        flow_y.begin_batch(y_pts)
+        flow_y.begin_batch(y_pts, times)
         for t in times:
             dx, xw_mu1 = (a[rows] for a in per_t[t])  # (P,2), (P,)
             dy = flow_y.displacement(t, y_pts).reshape(q, p, 2)
@@ -605,16 +606,17 @@ def _l1_integrals(flow_x, flow_y, field, times, n_x) -> dict:
 
     The grid and div b are built once; repeated times are evaluated once.
     The grid is one batch on each map (one on both when they are the same
-    map), so each map's point state is built once for all times.
+    map) over all the times, so each map's point state is built once.
     """
     pts, wts = volume_quadrature(field, n_x)
     div = field.divergence_many(pts)
     div_sup = float(np.abs(div).max())
-    flow_x.begin_batch(pts)
+    times = list(dict.fromkeys(float(t) for t in times))
+    flow_x.begin_batch(pts, times)
     if flow_y is not flow_x:
-        flow_y.begin_batch(pts)
+        flow_y.begin_batch(pts, times)
     out = {}
-    for t in dict.fromkeys(float(t) for t in times):
+    for t in times:
         dist = torus_distance(flow_x.position(t, pts), flow_y.position(t, pts))
         mu1 = flow_x.density(t, pts)
         mu2 = flow_y.density(t, pts)

@@ -290,6 +290,19 @@ def test_field_e_forward_rk4_raises():
     assert info.value.point[1] == pytest.approx(pts[first, 1], abs=1e-12)
 
 
+def test_field_e_multi_time_raises_where_its_largest_time_alone_does():
+    # the nearer times are finished on copies of the march to the largest
+    # one, and the error names the point that march reaches first
+    pts = np.random.default_rng(4).random((20, 2))
+    cfg = FlowSolverConfig(step=0.1)
+    points = []
+    for times in ([0.0, 0.05, 0.6, 0.35, 0.2], [0.0, 0.6]):
+        with pytest.raises(NonTransversalCrossingError) as info:
+            integrate_flow(get_field("E"), cfg, pts, times)
+        points.append(info.value.point)
+    assert np.array_equal(*points)
+
+
 @pytest.mark.parametrize("cfg", [RK4, EXACT])
 def test_field_e_backward_raises(cfg):
     with pytest.raises(NonTransversalCrossingError):
@@ -491,6 +504,28 @@ def test_cross_on_curved_level():
     assert np.max(torus_distance(coarse.positions, fine.positions)) < 1e-9
 
 
+@pytest.mark.parametrize("fid", ["A", "B", "C", "D", "T"])
+@pytest.mark.parametrize(
+    "step, times",
+    [(0.08, [0.41, 0.0, 0.39, 0.4]),
+     (0.03, [0.3, -0.25, 0.07, 0.3, -0.6, 0.0, 1.0, -0.0])],
+    ids=["one-step-apart", "mixed"],
+)
+def test_each_time_matches_its_lone_solve(fid, step, times):
+    # every time of one call, repeats included, is bit-identical to a call
+    # for it alone, so a result does not depend on the other times asked
+    fld = transversal_fixture() if fid == "T" else get_field(fid)
+    cfg = FlowSolverConfig(step=step)
+    pts = np.random.default_rng(11).random((24, 2))
+    ens = integrate_flow(fld, cfg, pts, times)
+    for k, t in enumerate(ens.times):
+        lone = integrate_flow(fld, cfg, pts, [0.0, t])
+        j = lone.time_index(t)
+        assert np.array_equal(ens.positions[k], lone.positions[j])
+        assert np.array_equal(ens.displacements[k], lone.displacements[j])
+        assert np.array_equal(ens.log_jacobian[k], lone.log_jacobian[j])
+
+
 def test_initial_point_on_surface_is_nudged():
     # exactly on x1 = 1/2: the +1e-9 eta convention puts it on the
     # descending strip of field C
@@ -614,7 +649,8 @@ def test_spline_node_check_catches_a_symbol_error(monkeypatch):
 
 @pytest.mark.parametrize("fid", ["A", "B", "direct-B"])
 def test_spline_batch_matches_plain_and_serves_only_its_array(fid):
-    # the direct map's batch state is its per-time solutions
+    # the direct map's batch state is the solutions of the batch's times
+    # (off the step lattice here), solved in one call
     fm = (DirectFlowMap(get_field("B"), FlowSolverConfig(step=1e-2)) if fid == "direct-B"
           else small_spline_map(fid))
     pts = spline_query_points()
@@ -625,13 +661,25 @@ def test_spline_batch_matches_plain_and_serves_only_its_array(fid):
         return fm.displacement(0.3, p), fm.log_jacobian(0.3, p), fm.density(0.3, p)
 
     plain, plain_other = query(pts), query(other)
-    fm.begin_batch(pts)
+    fm.begin_batch(pts, [0.296, 0.3, 0.304])
     batched, batched_copy, batched_other = query(pts), query(pts.copy()), query(other)
     fm.end_batch()
     for got, want in ((batched, plain), (batched_copy, plain), (batched_other, plain_other)):
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
     assert not np.array_equal(plain_other[0], plain[0])
+
+
+@pytest.mark.parametrize("fid", ["A", "B"])
+def test_interpolated_table_does_not_depend_on_prepare_order(fid):
+    # a table is a function of its t alone: t prepared by itself or with
+    # t +- dt gives the same bits (the step does not divide the times)
+    def table(times):
+        fm = InterpolatedFlowMap(get_field(fid), FlowSolverConfig(step=3e-2), grid_n=16)
+        fm.prepare(times)
+        return fm._lookup(0.3)
+
+    assert np.array_equal(table([0.3]), table([0.29, 0.3, 0.31]))
 
 
 def test_interpolated_flow_map_rejects_jump_fields():

@@ -95,7 +95,7 @@ def test_minimal_flow_map_runs_through_the_functionals():
 def test_l1_grid_builds_each_maps_point_state_once(monkeypatch):
     # one eqfin_residual call is one L^1 grid at three times: each map
     # builds its point state once for the grid, and the direct map solves
-    # once per time
+    # all three times in one integrate_flow call
     calls = collections.Counter()
     for name in ("_exact_prep", "_spline_matrix", "integrate_flow"):
         def counted(*args, _name=name, _original=getattr(flow, name)):
@@ -112,6 +112,12 @@ def test_l1_grid_builds_each_maps_point_state_once(monkeypatch):
     calls.clear()
     fn.eqfin_residual(DirectFlowMap(b, FlowSolverConfig(step=1e-2)), ExactFlowMap(b), b,
                       0.3, n_x=16)
+    assert calls["integrate_flow"] == 1
+    # the Gronwall pipeline makes one L^1 grid, so one solve, per sampled time
+    calls.clear()
+    fn.uniqueness_report(b, DirectFlowMap(b, FlowSolverConfig(step=1e-2)), ExactFlowMap(b),
+                         kernel_c(0.0), fn.FunctionalConfig(epsilon=0.05, n_x=16), 0.4,
+                         n_times=3)
     assert calls["integrate_flow"] == 3
 
 
@@ -123,9 +129,9 @@ def test_pair_sweep_evaluates_the_x_side_in_one_batch():
     kernel_calls = []
 
     class Recording(ExactFlowMap):
-        def begin_batch(self, pts):
+        def begin_batch(self, pts, times=()):
             batches.append(np.shape(pts)[0])
-            super().begin_batch(pts)
+            super().begin_batch(pts, times)
 
     class CountingKernel(AnisotropicKernel):
         def rho(self, x, z):
