@@ -31,8 +31,18 @@ def write_cfg(tmp_path, text, name="scenario.cfg"):
     return str(p)
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def checkout_env(env):
+    """``env`` with this checkout's src first on PYTHONPATH, so that a child
+    process imports the code under test, never an installed copy."""
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
+    env = checkout_env(dict(os.environ))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -149,7 +159,8 @@ assert err < 1e-13, err
 
 def run_python(code, *args):
     return subprocess.run([sys.executable, "-c", code, *args],
-                          capture_output=True, text=True, env=dict(os.environ))
+                          capture_output=True, text=True,
+                          env=checkout_env(dict(os.environ)))
 
 
 def test_strip_run_loads_no_scipy(tmp_path):
@@ -293,7 +304,7 @@ def test_threads_flag_caps_blas_pools(preset):
         "print(len(os.listdir('/proc/self/task')))\n"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, timeout=120)
+                         text=True, env=checkout_env(env), timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip().splitlines()[-1] == "1"
 

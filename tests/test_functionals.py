@@ -113,12 +113,80 @@ def test_l1_grid_builds_each_maps_point_state_once(monkeypatch):
     fn.eqfin_residual(DirectFlowMap(b, FlowSolverConfig(step=1e-2)), ExactFlowMap(b), b,
                       0.3, n_x=16)
     assert calls["integrate_flow"] == 1
-    # the Gronwall pipeline makes one L^1 grid, so one solve, per sampled time
+    # the Gronwall pipeline makes one L^1 grid over every sampled time, so
+    # one solve
     calls.clear()
     fn.uniqueness_report(b, DirectFlowMap(b, FlowSolverConfig(step=1e-2)), ExactFlowMap(b),
                          kernel_c(0.0), fn.FunctionalConfig(epsilon=0.05, n_x=16), 0.4,
                          n_times=3)
-    assert calls["integrate_flow"] == 3
+    assert calls["integrate_flow"] == 1
+
+
+PAIR_KEYS = ("D", "I1", "I2", "I2a", "MASS", "I1_ABS", "I2_ABS")
+
+
+def _pair_case(fid, eta_kind):
+    """Field, map and kernel of one pair-engine case: A's spline map, or
+    the exact map of B or D; a constant or a mollified kernel direction."""
+    fld = get_field(fid)
+    fm = (InterpolatedFlowMap(fld, FlowSolverConfig(step=1e-2), grid_n=16) if fid == "A"
+          else ExactFlowMap(fld))
+    eta = (DirectionField.constant(fld.strip_normal or (1.0, 0.0)) if eta_kind == "constant"
+           else DirectionField.mollified_normal(get_field("C"), 0.2))
+    return fld, fm, AnisotropicKernel(poly_bump, eta, 3.0)
+
+
+@pytest.mark.parametrize("eta_kind", ["constant", "mollified_normal"])
+@pytest.mark.parametrize("fid", ["A", "B", "D"])
+def test_per_time_keys_match_the_all_keys_sweep(fid, eta_kind):
+    # a {t: keys} request returns at each time exactly the keys asked for
+    # there, with the bits of the sweep that asks every key at every time
+    fld, fm, kern = _pair_case(fid, eta_kind)
+    cfg = fn.FunctionalConfig(epsilon=0.05, n_x=8, n_z=8)
+    times = [0.2, 0.25, 0.3]
+    want = {0.2: ("D",), 0.25: ("I1", "I2", "MASS", "I1_ABS", "I2_ABS"), 0.3: PAIR_KEYS}
+    every = fn.pair_integrals_multi(fm, fm, fld, kern, cfg, times, PAIR_KEYS)
+    per_time = fn.pair_integrals_multi(fm, fm, fld, kern, cfg, times, want)
+    assert per_time == {t: {k: every[t][k] for k in want[t]} for t in times}
+    assert fn.pair_integrals_multi(fm, fm, fld, kern, cfg, times, {0.2: (), 0.25: ("D",),
+                                                                   0.3: ("D",)})[0.2] == {}
+    # a repeated time is evaluated once, not summed twice
+    assert fn.pair_integrals_multi(fm, fm, fld, kern, cfg, [0.3, 0.3], ("D",)) == \
+        {0.3: {"D": every[0.3]["D"]}}
+
+
+def hypot_reference_D(fm_x, fm_y, fld, kern, cfg, t):
+    """D(t) over the engine's own grids, as whole arrays and with the
+    distance from np.hypot."""
+    eps = cfg.epsilon
+    z_pts, z_wts = kern.z_quadrature(None, cfg.n_z, rule="midpoint")
+    total = 0.0
+    for shift, idx in fn._z_shift_groups(fld, z_pts, eps):
+        x_pts, x_wts = volume_quadrature(fld, cfg.n_x, cfg.nodes_per_panel,
+                                         extra_breakpoints=[b - shift for b in fld.strip_bounds])
+        ez = eps * z_pts[idx]
+        y_pts = (x_pts[None, :, :] + ez[:, None, :]).reshape(-1, 2)
+        sep = (fm_x.displacement(t, x_pts)[None, :, :] - ez[:, None, :]
+               - fm_y.displacement(t, y_pts).reshape(idx.size, -1, 2))
+        sep -= np.rint(sep)
+        dist = np.hypot(sep[..., 0], sep[..., 1])
+        weight = (kern.rho(None, z_pts[idx]) * z_wts[idx])[:, None] * (
+            x_wts * fm_x.density(t, x_pts))[None, :] * fm_y.density(t, y_pts).reshape(dist.shape)
+        total += float(np.sum(dist * weight))
+    return total
+
+
+@pytest.mark.parametrize("fid", ["B", "D"])
+def test_pair_distance_matches_a_hypot_reference(fid):
+    # the engine's distance is the square root of the summed squares of the
+    # separation planes; against np.hypot it may differ only in round-off
+    fld, fm, kern = _pair_case(fid, "constant")
+    shifted = ShiftedMap(fm, (0.3, -0.2))
+    cfg = fn.FunctionalConfig(epsilon=0.05, n_x=12, n_z=12)
+    for fm_y in (fm, shifted):
+        d = fn.discrepancy_D(fm, fm_y, fld, kern, cfg, 0.3)
+        assert d == pytest.approx(hypot_reference_D(fm, fm_y, fld, kern, cfg, 0.3),
+                                  rel=1e-14, abs=0.0)
 
 
 def test_pair_sweep_evaluates_the_x_side_in_one_batch():
