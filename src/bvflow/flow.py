@@ -41,7 +41,9 @@ and ``density`` and supplies a no-op ``prepare`` hook and a zero
 mechanism: ``begin_batch(pts, times)`` keeps the work a map shares
 across all queries on that point set and those times (its
 ``_point_state``), and every query on that very array reuses it until
-``end_batch``.  Three maps implement the protocol:
+``end_batch``.  The point set may be a :class:`ShiftedGrid`, a tensor
+grid under several shifts, whose queries pass its flat ``points``.
+Three maps implement the protocol:
 :class:`ExactFlowMap` (the closed forms), :class:`InterpolatedFlowMap`
 (RK4 on a grid plus splines) and :class:`DirectFlowMap` (RK4 on the
 query points).
@@ -77,6 +79,7 @@ __all__ = [
     "export_csv",
     "collision_branch_maps",
     "FlowMap",
+    "ShiftedGrid",
     "ExactFlowMap",
     "InterpolatedFlowMap",
     "DirectFlowMap",
@@ -88,6 +91,7 @@ logger = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * np.pi
 MAX_CROSSINGS = 1000  # per-trajectory crossing budget of rk4_event
+SPLINE_ROW_BLOCK = 4096  # query points per tap-weight matrix of a spline product
 
 
 class NonTransversalCrossingError(RuntimeError):
@@ -244,13 +248,7 @@ def _exact_prep(fld: PiecewiseField, pts):
     at any time.
     """
     if fld.id == "B":
-        u = np.mod(pts[:, 0], 1.0)
-        # exact fixed points stay put (tan is finite garbage at 0.5 + eps scale)
-        fixed = np.minimum(np.abs(u), np.minimum(np.abs(u - 0.5), np.abs(u - 1.0))) < 1e-14
-        s0 = np.sin(TWO_PI * u)
-        near_fixed = np.abs(s0) < 1e-9
-        return _BPrep(u, np.tan(np.pi * u), u > 0.5, fixed, near_fixed,
-                      np.where(near_fixed, 1.0, s0), np.sign(np.cos(TWO_PI * u)))
+        return _b_prep(pts[:, 0])
     if fld.id in ("C", "D"):
         velocities = np.array([np.asarray(pc.b(np.zeros((1, 2))))[0] for pc in fld.pieces])
         return np.take(velocities, fld.piece_index(wrap_coords(pts)), axis=0)
@@ -261,6 +259,18 @@ def _exact_prep(fld: PiecewiseField, pts):
     if fld.id == "A":
         raise ValueError("field A has no closed-form flow; use rk4_event")
     raise ValueError(f"no exact flow for field {fld.id!r}")
+
+
+def _b_prep(x1):
+    """Field B's :class:`_BPrep` at the first coordinates ``x1``; the
+    flow never reads the second."""
+    u = np.mod(x1, 1.0)
+    # exact fixed points stay put (tan is finite garbage at 0.5 + eps scale)
+    fixed = np.minimum(np.abs(u), np.minimum(np.abs(u - 0.5), np.abs(u - 1.0))) < 1e-14
+    s0 = np.sin(TWO_PI * u)
+    near_fixed = np.abs(s0) < 1e-9
+    return _BPrep(u, np.tan(np.pi * u), u > 0.5, fixed, near_fixed,
+                  np.where(near_fixed, 1.0, s0), np.sign(np.cos(TWO_PI * u)))
 
 
 def _exact_b_x1(prep, t):
@@ -281,18 +291,20 @@ def _exact_e_forward(pts, t):
 
 
 def _exact_disp(fld: PiecewiseField, prep, pts, t: float):
-    """Unwrapped displacement X(t, x) - x of a closed-form flow."""
+    """Unwrapped displacement X(t, x) - x of a closed-form flow; B's has
+    one row per entry of its prep."""
     if fld.id in ("C", "D"):
         return t * prep
-    disp = np.zeros_like(pts)
     if fld.id == "B":
+        disp = np.zeros((prep.u.size, 2))
         # unwrapped: trajectories never leave their half-interval
         disp[:, 0] = _exact_b_x1(prep, t) - prep.u
-    else:
-        _exact_e_forward(pts, t)
-        left, hit = prep
-        move = np.minimum(t, hit)
-        disp[:, 0] = np.where(left, move, -move)
+        return disp
+    _exact_e_forward(pts, t)
+    disp = np.zeros_like(pts)
+    left, hit = prep
+    move = np.minimum(t, hit)
+    disp[:, 0] = np.where(left, move, -move)
     return disp
 
 
@@ -681,6 +693,24 @@ def collision_branch_maps(points, t: float):
 # ---------------------------------------------------------------------------
 
 
+class ShiftedGrid:
+    """A tensor grid translated by each of q shifts, as one point set.
+
+    ``axis0`` (n0,) and ``axis1`` (n1,) span the grid and ``shifts`` is
+    (q, 2).  ``points`` is the flat (q * n0 * n1, 2) array, ordered by
+    shift, then by axis0, then by axis1: point (k, i, j) is
+    (axis0[i] + shifts[k, 0], axis1[j] + shifts[k, 1]).  These are the
+    y-points x + eps z of a pair sweep over a uniform x-grid.
+    """
+
+    def __init__(self, axis0, axis1, shifts):
+        self.axis0, self.axis1, self.shifts = axis0, axis1, shifts
+        points = np.empty((shifts.shape[0], axis0.size, axis1.size, 2))
+        points[..., 0] = axis0[:, None] + shifts[:, None, None, 0]
+        points[..., 1] = axis1 + shifts[:, None, None, 1]
+        self.points = points.reshape(-1, 2)
+
+
 class FlowMap(ABC):
     """The flow-map protocol the functionals consume.
 
@@ -693,8 +723,12 @@ class FlowMap(ABC):
     and every channel share (none here), and :meth:`_state` hands it to
     each query that passes that very array.  The identity check is safe
     because the batch holds a reference to the array, so its id cannot
-    be reused while the batch is open.  A map with an approximation
-    error reports it through ``interpolation_error``.
+    be reused while the batch is open.  The point set may also be a
+    :class:`ShiftedGrid`; its queries pass ``grid.points``, and they get
+    the same bits as on that flat array.  A map that can use the grid's
+    structure builds its state in ``_grid_state``; by default that is the
+    point state of ``grid.points``.  A map with an approximation error
+    reports it through ``interpolation_error``.
     """
 
     _batch = None  # (pts, its point state) while a batch is open
@@ -719,6 +753,9 @@ class FlowMap(ABC):
         pass
 
     def begin_batch(self, pts, times=()) -> None:
+        if isinstance(pts, ShiftedGrid):
+            self._batch = (pts.points, self._grid_state(pts, times))
+            return
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         self._batch = (pts, self._point_state(pts, times))
 
@@ -730,6 +767,10 @@ class FlowMap(ABC):
         at ``times``."""
         return None
 
+    def _grid_state(self, grid, times):
+        """The point state of a :class:`ShiftedGrid`'s points."""
+        return self._point_state(grid.points, times)
+
     def _state(self, pts):
         """(pts as an (M, 2) float array, its point state): the open
         batch's for that very array, else built afresh."""
@@ -738,9 +779,25 @@ class FlowMap(ABC):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return pts, self._point_state(pts, ())
 
+    def _solve(self, t: float, pts):
+        """(displacement, log J) at time t, for a map whose point state is
+        {t: (displacement, log J)} over the batch's times: a time not in
+        the state is solved into it on its first query."""
+        pts, solved = self._state(pts)
+        t = float(t)
+        if t not in solved:
+            solved.update(self._point_state(pts, [t]))
+        return solved[t]
+
     def interpolation_error(self, t: float):
         """(max position error, max log J error) of the map at time t."""
         return 0.0, 0.0
+
+
+def _per_point(values, repeat):
+    """Per-line values repeated over the ``repeat`` points of each grid
+    line (``repeat`` None: the values are per point already)."""
+    return values if repeat is None else np.repeat(values, repeat, axis=0)
 
 
 class ExactFlowMap(FlowMap):
@@ -749,6 +806,10 @@ class ExactFlowMap(FlowMap):
     The point state is the time-independent part of the closed form
     (:func:`_exact_prep`), so a batch lets the quadrature engines sweep
     many times over one point set cheaply; it ignores the batch's times.
+    B's flow moves x1 alone, so on a :class:`ShiftedGrid` its state is
+    the prep of the q * n0 grid lines x1 = axis0 + shift0, and a query
+    evaluates the closed form once per line and repeats it over the
+    line's n1 points.
     """
 
     def __init__(self, fld: PiecewiseField):
@@ -757,15 +818,23 @@ class ExactFlowMap(FlowMap):
         self.field = fld
 
     def _point_state(self, pts, times):
-        return _exact_prep(self.field, pts)
+        """(closed-form prep, repeat): ``repeat`` is the number of points
+        each prep entry stands for, None when there is one entry per
+        point."""
+        return _exact_prep(self.field, pts), None
+
+    def _grid_state(self, grid, times):
+        if self.field.id != "B":
+            return super()._grid_state(grid, times)
+        return _b_prep((grid.axis0 + grid.shifts[:, :1]).reshape(-1)), grid.axis1.size
 
     def displacement(self, t: float, pts) -> np.ndarray:
-        pts, prep = self._state(pts)
-        return _exact_disp(self.field, prep, pts, t)
+        pts, (prep, repeat) = self._state(pts)
+        return _per_point(_exact_disp(self.field, prep, pts, t), repeat)
 
     def log_jacobian(self, t: float, pts) -> np.ndarray:
-        pts, prep = self._state(pts)
-        return _exact_logj(self.field, prep, pts, t)
+        pts, (prep, repeat) = self._state(pts)
+        return _per_point(_exact_logj(self.field, prep, pts, t), repeat)
 
     def density(self, t: float, pts) -> np.ndarray:
         """mu(t, .); identically 1 for the piecewise translations C and D,
@@ -773,8 +842,9 @@ class ExactFlowMap(FlowMap):
         if self.field.id in ("C", "D"):
             return np.ones(np.atleast_2d(pts).shape[0])
         if self.field.id == "B":
-            near_fixed, ratio, at_fixed = _exact_b_jacobian(self._state(pts)[1], t)
-            return np.where(near_fixed, np.exp(at_fixed), ratio)
+            prep, repeat = self._state(pts)[1]
+            near_fixed, ratio, at_fixed = _exact_b_jacobian(prep, t)
+            return _per_point(np.where(near_fixed, np.exp(at_fixed), ratio), repeat)
         return super().density(t, pts)
 
 
@@ -838,6 +908,22 @@ def _spline_matrix(pts, n: int):
     return sparse.csr_matrix((data, cols, indptr), shape=(m, n * n))
 
 
+def _spline_values(pts, n: int, columns) -> np.ndarray:
+    """The splines whose coefficient grids are the columns of ``columns``
+    (n*n, C), at ``pts`` (M, 2): an (M, C) array.
+
+    One sparse product per block of :data:`SPLINE_ROW_BLOCK` points, so
+    only one block's tap-weight matrix is alive at a time.  Each row is
+    its own sum over its 16 taps, in tap order, so the blocks and the
+    number of columns change no bit of any value.
+    """
+    out = np.empty((pts.shape[0], columns.shape[1]))
+    for lo in range(0, pts.shape[0], SPLINE_ROW_BLOCK):
+        hi = lo + SPLINE_ROW_BLOCK
+        out[lo:hi] = _spline_matrix(pts[lo:hi], n) @ columns
+    return out
+
+
 class InterpolatedFlowMap(FlowMap):
     """Flow map for smooth fields: RK4 on a periodic grid plus periodic
     cubic-spline interpolation of the displacement and log-Jacobian.
@@ -851,14 +937,24 @@ class InterpolatedFlowMap(FlowMap):
     for it alone would, so a table is a function of its t only.  The
     periodic prefilter is the exact inverse of the spline's node
     operator, applied in Fourier space with numpy's FFT
-    (:func:`_spline_prefilter`).  A query is a sparse product with the
-    points' tap-weight matrix (:func:`_spline_matrix`, which loads
-    ``scipy.sparse`` on its first call).  That matrix is the point
-    state, so a batch builds it once and every time and channel queried
-    on that very array reuses it; the batch's times play no part.
-    ``interpolation_error`` integrates a pseudo-random sample of query
-    points directly and reports the worst deviation, which the
-    functionals fold into their reported error bounds.
+    (:func:`_spline_prefilter`).
+
+    A query is a sparse product with the points' tap-weight matrix
+    (:func:`_spline_matrix`, which loads ``scipy.sparse`` on its first
+    call).  A batch that names its times evaluates all of them in one
+    product: the tables of those times stacked as the columns of one
+    (n*n, 3 K) array, taken block by block over the points
+    (:func:`_spline_values`).  Its point state is each time's
+    (displacement, log J), views into that one (M, 3 K) result, which
+    the queries return as they are.  The stacked table of the last times
+    evaluated is kept, so the chunks of a pair sweep, which all name the
+    sweep's times, build it once.  A time outside the batch, and any
+    query outside one, takes the same product for that time alone; the
+    values are the same bits either way.  A :class:`ShiftedGrid` batch
+    is evaluated at its points.  ``interpolation_error`` integrates a
+    pseudo-random sample of query points directly and reports the worst
+    deviation, which the functionals fold into their reported error
+    bounds.
     """
 
     def __init__(self, fld: PiecewiseField, cfg: FlowSolverConfig | None = None,
@@ -876,6 +972,7 @@ class InterpolatedFlowMap(FlowMap):
             np.meshgrid(axis, axis, indexing="ij"), axis=-1
         ).reshape(-1, 2)
         self._tables: dict = {}
+        self._stacked = ((), None)  # (times, their tables as (n*n, 3 K) columns)
         self._err_cache: dict = {}
 
     def prepare(self, times) -> None:
@@ -899,14 +996,23 @@ class InterpolatedFlowMap(FlowMap):
         return self._tables[key]
 
     def _point_state(self, pts, times):
-        return _spline_matrix(pts, self.grid_n)
+        """{t: (displacement, log J)} at ``pts`` for each of ``times``,
+        from one product with their stacked tables."""
+        times = tuple(dict.fromkeys(float(t) for t in times))
+        if not times:
+            return {}
+        if self._stacked[0] != times:
+            tables = np.concatenate([self._lookup(t) for t in times])
+            self._stacked = (times, tables.T.copy())
+        vals = _spline_values(pts, self.grid_n, self._stacked[1])
+        return {t: (vals[:, 3 * k : 3 * k + 2], vals[:, 3 * k + 2])
+                for k, t in enumerate(times)}
 
     def displacement(self, t: float, pts) -> np.ndarray:
-        s, table = self._state(pts)[1], self._lookup(t)
-        return np.stack([s @ table[0], s @ table[1]], axis=-1)
+        return self._solve(t, pts)[0]
 
     def log_jacobian(self, t: float, pts) -> np.ndarray:
-        return self._state(pts)[1] @ self._lookup(t)[2]
+        return self._solve(t, pts)[1]
 
     def interpolation_error(self, t: float):
         """(max position error, max log J error) against direct integration
@@ -954,13 +1060,6 @@ class DirectFlowMap(FlowMap):
         ens = integrate_flow(self.field, self.config, pts, [0.0, *times])
         return {float(t): (disp, logj) for t, disp, logj
                 in zip(ens.times, ens.displacements, ens.log_jacobian)}
-
-    def _solve(self, t: float, pts):
-        pts, solved = self._state(pts)
-        t = float(t)
-        if t not in solved:
-            solved.update(self._point_state(pts, [t]))
-        return solved[t]
 
     def displacement(self, t: float, pts) -> np.ndarray:
         return self._solve(t, pts)[0]

@@ -40,8 +40,13 @@ flow's displacement and the x-weight times its density) for all of them
 in one batch of the first flow; with a constant kernel direction rho and
 d2 rho are evaluated once for all z-nodes.  A group is swept in z-chunks
 of at most :data:`PAIR_CHUNK` (x, z) pairs, which bounds the pair arrays
-and the second flow's per-batch state (a spline tap-weight matrix costs
-about 192 bytes per pair).  Gauss-Legendre rules come from
+and the second flow's per-batch state.  A chunk's y-points are one batch
+of the second flow over all the sweep's times; on a smooth field they
+are the uniform x-grid shifted by each eps z, passed as a
+:class:`bvflow.flow.ShiftedGrid`.  The spline map's state is then 3 K
+values per pair for K times, and it builds its tap-weight matrices
+:data:`bvflow.flow.SPLINE_ROW_BLOCK` points at a time, so at most one
+block's matrix is alive.  Gauss-Legendre rules come from
 :func:`bvflow.torus.gauss_legendre`, built once per order.
 
 A report row (:func:`discrepancy_report`) is one pair sweep over the
@@ -61,7 +66,7 @@ import numpy as np
 
 from . import catalog as cat
 from .catalog import PiecewiseField, volume_quadrature
-from .flow import collision_branch_maps
+from .flow import ShiftedGrid, collision_branch_maps
 from .kernels import AnisotropicKernel
 # wrap_half is unused here but stays a module attribute: bench/test_bench.py
 # checks that the tracer rewires it in this module
@@ -160,7 +165,9 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     ``flow_x`` over all the times; with a constant kernel direction rho
     and d2 rho are evaluated once for all z-nodes.  Each group is then
     swept in z-chunks of at most :data:`PAIR_CHUNK` pairs, and each
-    chunk's y-points are one batch of ``flow_y`` over all the times.
+    chunk's y-points are one batch of ``flow_y`` over all the times; on a
+    smooth field that batch is a :class:`bvflow.flow.ShiftedGrid`, the
+    torus x-grid's axes with the chunk's eps z as shifts.
     Within a chunk every two-component quantity (the minimal-image
     separation, the b-difference quotient, d2 rho) is handled as one
     contiguous (q, P) plane per component, and the distance is the square
@@ -197,6 +204,9 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     ]
     x_all = np.concatenate([x_pts for x_pts, _ in grids])
     w_all = np.concatenate([x_wts for _, x_wts in grids])
+    # a smooth field's x-grid is the uniform torus grid, so a chunk's
+    # y-points are that grid shifted by each eps z: a ShiftedGrid
+    axis = QuadratureGrid.torus(cfg.n_x).axis if field.strip_normal is None else None
 
     # the x-only factors of every group: b(x) when an integrand needs it,
     # and for every time flow_x's displacement and the weight x_wts * mu1
@@ -217,7 +227,11 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
         z_chunk, zw_chunk = z_pts[sel], z_wts[sel]
         ez = eps * z_chunk
         p, q = x_pts.shape[0], z_chunk.shape[0]
-        y_pts = (x_pts[None, :, :] + ez[:, None, :]).reshape(-1, 2)
+        if axis is None:
+            y_batch = y_pts = (x_pts[None, :, :] + ez[:, None, :]).reshape(-1, 2)
+        else:
+            y_batch = ShiftedGrid(axis, axis, ez)
+            y_pts = y_batch.points
         # time-independent factors; d2 holds the two planes of d2 rho
         g1 = None
         if kernel.eta.is_constant:
@@ -249,7 +263,7 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
             dbz = np.einsum("qpij,qj->qpi", davg, z_chunk)
             g2a = -(d2[0] * dbz[..., 0] + d2[1] * dbz[..., 1])
 
-        flow_y.begin_batch(y_pts, times)
+        flow_y.begin_batch(y_batch, times)
         for t, keys in want.items():
             dx, xw_mu1 = (a[rows] for a in per_t[t])  # (P,2), (P,)
             dy = flow_y.displacement(t, y_pts)  # (q*P,2)

@@ -207,6 +207,12 @@ class QuadratureGrid:
         return self.nodes.shape[1]
 
     @property
+    def axis(self) -> np.ndarray:
+        """The 1-D node axis that every coordinate runs over; ``nodes``
+        is its tensor power, the last coordinate varying fastest."""
+        return self.nodes[: self.points_per_dim, -1]
+
+    @property
     def total_measure(self) -> float:
         return self.weight * self.nodes.shape[0]
 

@@ -175,6 +175,52 @@ def test_spline_map_loads_scipy_sparse_on_first_query():
     assert res.returncode == 0, res.stderr
 
 
+def test_epsilon_sweep_reads_the_report_rows(tmp_path, monkeypatch):
+    # the D-against-eps sweep takes each value from the report row with that
+    # eps at the first gamma and t, so a run makes one pair sweep per row
+    from bvflow import functionals as fn
+
+    sweeps = []
+    engine = fn.pair_integrals_multi
+
+    def counted(*args, **kwargs):
+        sweeps.append(args[2].id)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(fn, "pair_integrals_multi", counted)
+    text = (MINIMAL.replace("field_id = C", "field_id = B")
+            .replace("rk4_event", "explicit_exact")
+            .replace("functional.gamma = 0", "functional.gamma = 3 0")
+            .replace("functional.epsilon = 0.05", "functional.epsilon = 0.1 0.05 0.2")
+            .replace("functional.t = 0.5", "functional.t = 0.3 0.2")
+            .replace("= 16", "= 8"))
+    out = tmp_path / "out"
+    paths = exp.run_scenario(exp.parse_config(write_cfg(tmp_path, text)), out_dir=str(out))
+    header, *lines = (out / "report.csv").read_text().strip().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert len(rows) == 12
+    assert sweeps == ["B"] * len(rows)
+    first = sorted((float(r["epsilon"]), r["D"]) for r in rows
+                   if float(r["gamma"]) == 3.0 and float(r["t"]) == 0.3)
+    d_rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()
+              if r.startswith("D,")]
+    assert [(float(x), y) for _, _, x, y, _, _ in d_rows] == first
+    # B's field has grad_a b != 0, so its meta reports a residual
+    spot = [ln for ln in open(paths["meta"]) if "spot_check" in ln]
+    assert re.fullmatch(r"# spot_check_r_a_max_residual \d\.\d{3}e[+-]\d+ \(10 seeded points\)\n",
+                        spot[0])
+
+
+def test_strip_meta_marks_the_spot_check_not_applicable(tmp_path):
+    # on C grad_a b = 0 at every off-jump point: the identity reads 0 = 0,
+    # so meta says so rather than report a residual; it still re-parses
+    cfg = exp.parse_config(write_cfg(tmp_path, MINIMAL))
+    paths = exp.run_scenario(cfg, out_dir=str(tmp_path / "out"))
+    text = open(paths["meta"]).read()
+    assert "# spot_check_r_a_max_residual n/a (grad_a b = 0 at the 10 seeded points)\n" in text
+    assert exp.parse_config(paths["meta"]) == cfg
+
+
 def test_run_scenario_gamma_sweep_slope(tmp_path):
     text = MINIMAL.replace("functional.gamma = 0", "functional.gamma = 0 1 3 9 27")
     cfg = exp.parse_config(write_cfg(tmp_path, text))

@@ -13,6 +13,7 @@ from bvflow.flow import (
     InterpolatedFlowMap,
     NonTransversalCrossingError,
     RunawayTrajectoryError,
+    ShiftedGrid,
     check_group_property,
     check_ode_residual,
     collision_branch_maps,
@@ -668,6 +669,62 @@ def test_spline_batch_matches_plain_and_serves_only_its_array(fid):
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
     assert not np.array_equal(plain_other[0], plain[0])
+
+
+def test_spline_batch_over_row_blocks_matches_the_one_matrix_product():
+    # a batch evaluates all its times in one product taken block by block
+    # over the points; every value must be the bits of the whole-array
+    # tap-weight matrix times that time's table, on either side of a block
+    # seam, and so must a plain query and a time outside the batch
+    fm = small_spline_map("A")
+    m = 2 * flow.SPLINE_ROW_BLOCK + 37
+    pts = np.random.default_rng(12).random((m, 2)) * 3.0 - 1.0
+    matrix = flow._spline_matrix(pts, fm.grid_n)
+    times = [0.296, 0.3, 0.304]
+    fm.begin_batch(pts, times)
+    batched = {t: (fm.displacement(t, pts), fm.log_jacobian(t, pts))
+               for t in times + [0.31]}
+    fm.end_batch()
+    for t, (disp, logj) in batched.items():
+        table = fm._lookup(t)
+        want = np.stack([matrix @ table[c] for c in range(3)], axis=-1)
+        for got in (np.column_stack([disp, logj]),
+                    np.column_stack([fm.displacement(t, pts), fm.log_jacobian(t, pts)])):
+            assert np.array_equal(got, want)
+
+
+def test_shifted_grid_points_are_the_shifted_tensor_grid():
+    axis0, axis1 = np.array([0.1, 0.4, 0.75]), np.array([0.2, 0.9])
+    shifts = np.array([[0.0, 0.0], [0.05, -0.3], [-0.5, 0.125], [0.3, 0.01]])
+    grid = ShiftedGrid(axis0, axis1, shifts)
+    mesh = np.stack(np.meshgrid(axis0, axis1, indexing="ij"), axis=-1).reshape(-1, 2)
+    assert np.array_equal(grid.points, (mesh[None, :, :] + shifts[:, None, :]).reshape(-1, 2))
+
+
+@pytest.mark.parametrize("t", [-0.2, 0.3])
+def test_exact_b_grid_batch_matches_the_flat_batch_and_plain_queries(t):
+    # B's grid state evaluates the closed form once per grid line x1 =
+    # axis0 + shift0; lines through the fixed points 0 and 1/2 exactly,
+    # and axes of different lengths, so that a swapped axis shows
+    fm = ExactFlowMap(get_field("B"))
+    axis0 = np.array([0.0, 0.125, 0.25, 0.5, 0.7, 0.9])
+    axis1 = np.array([0.05, 0.35, 0.6, 0.95])
+    shifts = np.array([[0.0, 0.0], [0.25, -0.1], [-0.125, 0.3], [0.5, 0.05], [0.03, 0.02]])
+    grid = ShiftedGrid(axis0, axis1, shifts)
+    pts = grid.points
+    u = np.mod(pts[:, 0], 1.0)
+    assert (u == 0.0).any() and (u == 0.5).any()
+    queries = (fm.displacement, fm.log_jacobian, fm.density)
+    plain = [q(t, pts) for q in queries]
+    fm.begin_batch(pts, [t])
+    flat = [q(t, pts) for q in queries]
+    fm.begin_batch(grid, [t])
+    on_grid = [q(t, pts) for q in queries]
+    fm.end_batch()
+    for p, f, g in zip(plain, flat, on_grid):
+        assert p.shape == g.shape
+        assert np.array_equal(p, f)
+        assert np.array_equal(p, g)
 
 
 @pytest.mark.parametrize("fid", ["A", "B"])

@@ -155,6 +155,54 @@ def test_per_time_keys_match_the_all_keys_sweep(fid, eta_kind):
         {0.3: {"D": every[0.3]["D"]}}
 
 
+class FlatBatches(flow.FlowMap):
+    """A map that hands every batch to ``inner`` as a flat point array,
+    and records whether it was given a ShiftedGrid."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.grids = 0
+
+    def prepare(self, times):
+        self.inner.prepare(times)
+
+    def begin_batch(self, pts, times=()):
+        if isinstance(pts, flow.ShiftedGrid):
+            self.grids += 1
+            pts = pts.points
+        self.inner.begin_batch(pts, times)
+
+    def end_batch(self):
+        self.inner.end_batch()
+
+    def displacement(self, t, pts):
+        return self.inner.displacement(t, pts)
+
+    def log_jacobian(self, t, pts):
+        return self.inner.log_jacobian(t, pts)
+
+    def density(self, t, pts):
+        return self.inner.density(t, pts)
+
+    def interpolation_error(self, t):
+        return self.inner.interpolation_error(t)
+
+
+@pytest.mark.parametrize("eta_kind", ["constant", "mollified_normal"])
+@pytest.mark.parametrize("fid", ["A", "B"])
+def test_shifted_grid_sweep_matches_the_flat_sweep(fid, eta_kind):
+    # on a smooth field every z-chunk's y-points are one ShiftedGrid batch
+    # of the second map (two chunks here, A's over several spline row
+    # blocks); every key must have the bits of the flat-array batches
+    fld, fm, kern = _pair_case(fid, eta_kind)
+    cfg = fn.FunctionalConfig(epsilon=0.1, n_x=16, n_z=16)
+    times = [0.299, 0.3, 0.301]
+    flat = FlatBatches(fm)
+    got = fn.pair_integrals_multi(fm, fm, fld, kern, cfg, times, PAIR_KEYS)
+    assert got == fn.pair_integrals_multi(fm, flat, fld, kern, cfg, times, PAIR_KEYS)
+    assert flat.grids == 2
+
+
 def hypot_reference_D(fm_x, fm_y, fld, kern, cfg, t):
     """D(t) over the engine's own grids, as whole arrays and with the
     distance from np.hypot."""
