@@ -32,8 +32,7 @@ rng = np.random.default_rng(1)
 for _ in range(3):
     x = rng.random((1, 2))
     z, w = kern.z_quadrature(x, 160, rule="gauss")
-    xs = np.broadcast_to(x, (z.shape[0], 2))
-    mass = float(np.sum(kern.rho(xs, z) * w))
-    d1 = np.linalg.norm(np.sum(kern.d1_rho(xs, z) * w[:, None], axis=0))
+    mass = float(np.sum(kern.rho(x, z) * w))
+    d1 = np.linalg.norm(np.sum(kern.d1_rho(x, z) * w[:, None], axis=0))
     print(f"  x = {np.round(x[0], 3).tolist()}:"
           f" mass - 1 = {mass - 1.0:+.1e}, |int d1_rho dz| = {d1:.1e}")

@@ -38,9 +38,12 @@ smooth field has a single group).  A sweep builds every group's x-grid
 first and evaluates the x-only factors (b(x), and per time the first
 flow's displacement and the x-weight times its density) for all of them
 in one batch of the first flow; with a constant kernel direction rho and
-d2 rho are evaluated once for all z-nodes.  A group is swept in z-chunks
-of at most :data:`PAIR_CHUNK` (x, z) pairs, which bounds the pair arrays
-and the second flow's per-batch state.  A chunk's y-points are one batch
+d2 rho are evaluated once for all z-nodes.  With a position-dependent
+direction each chunk evaluates the kernel factors its keys need (rho,
+d2 rho, d1 rho) as (q, P) planes of its P x-points against its q
+z-nodes, so eta and D eta are evaluated once per x-point of the chunk.
+A group is swept in z-chunks of at most :data:`PAIR_CHUNK` (x, z) pairs,
+which bounds the pair arrays and the second flow's per-batch state.  A chunk's y-points are one batch
 of the second flow over all the sweep's times; on a smooth field they
 are the uniform x-grid shifted by each eps z, passed as a
 :class:`bvflow.flow.ShiftedGrid`.  The spline map's state is then 3 K
@@ -167,7 +170,11 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     swept in z-chunks of at most :data:`PAIR_CHUNK` pairs, and each
     chunk's y-points are one batch of ``flow_y`` over all the times; on a
     smooth field that batch is a :class:`bvflow.flow.ShiftedGrid`, the
-    torus x-grid's axes with the chunk's eps z as shifts.
+    torus x-grid's axes with the chunk's eps z as shifts.  With a
+    position-dependent direction a chunk passes its P x-points and its q
+    z-nodes to the kernel, which broadcasts them to (q, P) planes of the
+    factors the asked keys need (rho, d2 rho, d1 rho) and evaluates eta
+    and D eta once per x-point.
     Within a chunk every two-component quantity (the minimal-image
     separation, the b-difference quotient, d2 rho) is handled as one
     contiguous (q, P) plane per component, and the distance is the square
@@ -233,20 +240,22 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
             y_batch = ShiftedGrid(axis, axis, ez)
             y_pts = y_batch.points
         # time-independent factors; d2 holds the two planes of d2 rho
-        g1 = None
+        g1 = rho = d2 = None
         if kernel.eta.is_constant:
             rho = rho_all[sel][:, None]  # (q,1)
             d2 = [d2_all[sel, k][:, None] for k in (0, 1)]  # (q,1) each
         else:
-            x_tile = np.broadcast_to(x_pts, (q, p, 2)).reshape(-1, 2)
-            z_tile = np.repeat(z_chunk, p, axis=0)
-            rho = kernel.rho(x_tile, z_tile).reshape(q, p)
-            d2_qp = kernel.d2_rho(x_tile, z_tile)
-            d2 = [d2_qp[:, k].reshape(q, p) for k in (0, 1)]
+            # every x against every z, with eta(x) evaluated once per
+            # x-point; each factor only when an asked key uses it
+            z_col = z_chunk[:, None, :]
+            if asked & {"D", "MASS"}:
+                rho = kernel.rho(x_pts, z_col)  # (q,P)
+            if need_g2 or "I2a" in asked:
+                d2_qp = kernel.d2_rho(x_pts, z_col)
+                d2 = [d2_qp[..., k] for k in (0, 1)]
             if need_g1:
-                d1 = kernel.d1_rho(x_tile, z_tile)
-                g1 = -(d1[:, 0].reshape(q, p) * bx[:, 0]
-                       + d1[:, 1].reshape(q, p) * bx[:, 1])
+                d1 = kernel.d1_rho(x_pts, z_col)
+                g1 = -(d1[..., 0] * bx[:, 0] + d1[..., 1] * bx[:, 1])
         g2 = None
         if need_g2:
             by = field.eval_many(y_pts)
@@ -490,11 +499,10 @@ def _polar_z_grid(kernel, x, n_z):
     """Polar z-grid at the point x (None when the kernel direction is
     constant, so the grid is the same at every x) and the values of
     d2 rho on it: (z_pts, z_wts, d2)."""
-    if x is None:
-        z_pts, z_wts = kernel.z_quadrature(None, n_z, rule="polar")
-        return z_pts, z_wts, kernel.d2_rho(None, z_pts)
-    z_pts, z_wts = kernel.z_quadrature(x.reshape(1, 2), n_z, rule="polar")
-    return z_pts, z_wts, kernel.d2_rho(np.broadcast_to(x, (z_pts.shape[0], 2)), z_pts)
+    if x is not None:
+        x = x.reshape(1, 2)
+    z_pts, z_wts = kernel.z_quadrature(x, n_z, rule="polar")
+    return z_pts, z_wts, kernel.d2_rho(x, z_pts)
 
 
 def _singular_z_integral(grid, xi, eta_b):

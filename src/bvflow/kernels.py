@@ -25,6 +25,11 @@ modulating the jump normal of a catalog field.  The catalog's exact jump
 normals are globally constant, so a literal mollification of eta_b would
 be constant too; the modulated kind exists to dial the misalignment
 |eta - eta_b| deliberately (and to exercise the x-derivative of rho).
+
+The kernel's values and gradients take points x (..., dim) and offsets
+z (..., dim) whose leading axes broadcast against each other, so P
+points against q offsets (z shaped (q, 1, dim)) give (q, P) planes with
+eta evaluated once per point; see :meth:`AnisotropicKernel.rho`.
 """
 
 from __future__ import annotations
@@ -181,7 +186,8 @@ class DirectionField:
         return self.base_angle + self.width * np.sin(2.0 * math.pi * (pts @ tv))
 
     def eta(self, points) -> np.ndarray:
-        """eta at each point, shape (M, 2) (constant kind broadcasts)."""
+        """eta at each point: shape (..., 2) for (..., 2) points, (1, 2) for
+        one point (2,) (the constant kind broadcasts)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.is_constant:
             return np.broadcast_to(np.asarray(self.vector), pts.shape).copy()
@@ -189,21 +195,22 @@ class DirectionField:
         return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
     def d_eta(self, points) -> np.ndarray:
-        """Jacobian D eta, shape (M, 2, 2); zero for the constant kind."""
+        """Jacobian D eta, shape (..., 2, 2) for (..., 2) points; zero for
+        the constant kind."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.is_constant:
-            return np.zeros((pts.shape[0], 2, 2))
+            return np.zeros(pts.shape + (2,))
         th = self._theta(pts)
         tv = np.asarray(self.tangent_int, dtype=float)
         dtheta = (
             self.width
             * 2.0
             * math.pi
-            * np.cos(2.0 * math.pi * (pts @ tv))[:, None]
-            * tv[None, :]
-        )  # (M, 2): gradient of theta
+            * np.cos(2.0 * math.pi * (pts @ tv))[..., None]
+            * tv
+        )  # (..., 2): gradient of theta
         eta_perp = np.stack([-np.sin(th), np.cos(th)], axis=-1)  # d eta / d theta
-        return eta_perp[:, :, None] * dtheta[:, None, :]
+        return eta_perp[..., :, None] * dtheta[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -229,45 +236,59 @@ class AnisotropicKernel:
         """det U = 1 + gamma (one stretched eigenvalue, the rest are 1)."""
         return 1.0 + self.gamma
 
-    def _eta_at(self, x, m: int) -> np.ndarray:
+    def _eta_x(self, x) -> np.ndarray:
+        """eta at the points x (..., dim); for a constant direction x may
+        be None, and eta is then the (dim,) vector."""
         if self.eta.is_constant:
-            return np.broadcast_to(np.asarray(self.eta.vector, dtype=float), (m, self.dim))
+            e = np.asarray(self.eta.vector, dtype=float)
+            return e if x is None else np.broadcast_to(e, np.shape(x))
         if x is None:
             raise ValueError("position-dependent eta needs x")
         return self.eta.eta(x)
 
     def u_matrix(self, x=None):
-        """(U, U_inv, det U) at x; U has shape (M, dim, dim) for (M, dim) x."""
-        if x is None:
-            x = np.zeros((1, self.dim))
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        e = self._eta_at(pts, pts.shape[0])
+        """(U, U_inv, det U) at x; U has shape (M, dim, dim) for (M, dim) x.
+
+        For a constant direction x may be None, and U is then (1, dim, dim).
+        """
+        e = np.atleast_2d(self._eta_x(x))
         eye = np.eye(self.dim)
         outer = e[:, :, None] * e[:, None, :]
         u = eye[None, :, :] + self.gamma * outer
         u_inv = eye[None, :, :] - (self.gamma / (1.0 + self.gamma)) * outer
         return u, u_inv, self.det_u
 
-    def rho(self, x, z) -> np.ndarray:
-        """Kernel values; x and z broadcast as (M, dim) against (M, dim).
-
-        For a constant direction field x may be None.
-        """
+    def _prelude(self, x, z):
+        """(z, eta, <eta, z>, |U z|^2), the factors rho and both of its
+        gradients share, with x broadcast against z (see :meth:`rho`)."""
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        e = self._eta_at(x, z.shape[0])
-        ez = np.sum(e * z, axis=-1)
+        e = self._eta_x(x)
+        # a sum over the components, which for (q, P) planes is several
+        # times faster than np.sum over a last axis of length dim
+        ez = sum(e[..., i] * z[..., i] for i in range(self.dim))
         uz_sq = np.sum(z * z, axis=-1) + (2.0 * self.gamma + self.gamma**2) * ez**2
+        return z, e, ez, uz_sq
+
+    def rho(self, x, z) -> np.ndarray:
+        """Kernel values at the pairs (x, z).
+
+        x is (..., dim), or None for a constant direction field; z is
+        (..., dim).  The leading axes of x and z broadcast as numpy arrays
+        do, and the result has their broadcast shape: (M, dim) against
+        (M, dim) pairs row by row, and (P, dim) against (q, 1, dim) gives
+        the (q, P) plane of every x against every z.  eta(x) is evaluated
+        once per row of x.  ``d2_rho`` and ``d1_rho`` follow the same rule,
+        with a trailing axis of length dim.
+        """
+        _, _, _, uz_sq = self._prelude(x, z)
         return self.profile.f0(uz_sq, self.dim) * self.det_u
 
     def d2_rho(self, x, z) -> np.ndarray:
         """Gradient of rho in z:  2 F0'(|Uz|^2) U^2 z det U."""
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        e = self._eta_at(x, z.shape[0])
-        ez = np.sum(e * z, axis=-1)
-        uz_sq = np.sum(z * z, axis=-1) + (2.0 * self.gamma + self.gamma**2) * ez**2
-        u2z = z + (2.0 * self.gamma + self.gamma**2) * ez[:, None] * e
+        z, e, ez, uz_sq = self._prelude(x, z)
+        u2z = z + (2.0 * self.gamma + self.gamma**2) * ez[..., None] * e
         coeff = 2.0 * self.profile.f0_prime(uz_sq, self.dim) * self.det_u
-        return coeff[:, None] * u2z
+        return coeff[..., None] * u2z
 
     def d1_rho(self, x, z) -> np.ndarray:
         """Gradient of rho in x (through eta(x)); zero for constant eta.
@@ -277,15 +298,12 @@ class AnisotropicKernel:
             d1 rho = F0'(|Uz|^2) det U * gamma (2 + gamma)
                      * 2 <eta, z> (D eta)^T z.
         """
-        z = np.atleast_2d(np.asarray(z, dtype=float))
+        z, e, ez, uz_sq = self._prelude(x, z)
         if self.eta.is_constant:
-            return np.zeros_like(z)
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        e = self.eta.eta(pts)
-        de = self.eta.d_eta(pts)  # (M, dim, dim), de[m, i, j] = d eta_i / d x_j
-        ez = np.sum(e * z, axis=-1)
-        uz_sq = np.sum(z * z, axis=-1) + (2.0 * self.gamma + self.gamma**2) * ez**2
-        det_z = np.einsum("mij,mi->mj", de, z)  # (D eta)^T z
+            return np.zeros(np.broadcast_shapes(e.shape, z.shape))
+        de = self.eta.d_eta(x)  # (..., dim, dim), de[..., i, j] = d eta_i / d x_j
+        # (D eta)^T z, written out for the two dimensions a variable eta has
+        det_z = z[..., :1] * de[..., 0, :] + z[..., 1:] * de[..., 1, :]
         coeff = (
             self.profile.f0_prime(uz_sq, self.dim)
             * self.det_u
@@ -294,7 +312,7 @@ class AnisotropicKernel:
             * 2.0
             * ez
         )
-        return coeff[:, None] * det_z
+        return coeff[..., None] * det_z
 
     def support_bounds(self) -> tuple:
         """(inner radius, outer radius) of supp rho(x, .)."""
@@ -321,12 +339,7 @@ class AnisotropicKernel:
 
         Returns (nodes (Q, dim), weights (Q,)).
         """
-        if rule == "midpoint":
-            axis = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
-            wts1 = np.full(n, 2.0 / n)
-        elif rule == "gauss":
-            axis, wts1 = gauss_legendre(n)
-        elif rule == "polar":
+        if rule == "polar":
             if self.dim != 2:
                 raise ValueError("polar rule is two-dimensional")
             gl_x, gl_w = gauss_legendre(n)
@@ -342,24 +355,26 @@ class AnisotropicKernel:
                 axis=-1,
             )
             wts = (rw[:, None] * np.full(m, 2.0 * np.pi / m)[None, :]).ravel()
-            e = self._eta_at(x, 1)[0]
-            ew = w @ e
-            z = w - (self.gamma / (1.0 + self.gamma)) * ew[:, None] * e[None, :]
-            return z, wts / self.det_u
         else:
-            raise ValueError(f"unknown quadrature rule {rule!r}")
-        mesh = np.meshgrid(*([axis] * self.dim), indexing="ij")
-        w = np.stack(mesh, axis=-1).reshape(-1, self.dim)
-        wmesh = np.meshgrid(*([wts1] * self.dim), indexing="ij")
-        wts = np.prod(np.stack(wmesh, axis=-1).reshape(-1, self.dim), axis=-1)
-        keep = np.sum(w * w, axis=-1) < 1.0
-        w, wts = w[keep], wts[keep]
-        if not self.eta.is_constant and x is None:
-            # no single U(x): integrate in z directly over the unit ball,
-            # which contains supp rho(x, .) for every x.  Adequate
-            # resolution is then the caller's concern (moderate gamma).
-            return w, wts
-        e = self._eta_at(x, 1)[0]
+            if rule == "midpoint":
+                axis = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
+                wts1 = np.full(n, 2.0 / n)
+            elif rule == "gauss":
+                axis, wts1 = gauss_legendre(n)
+            else:
+                raise ValueError(f"unknown quadrature rule {rule!r}")
+            mesh = np.meshgrid(*([axis] * self.dim), indexing="ij")
+            w = np.stack(mesh, axis=-1).reshape(-1, self.dim)
+            wmesh = np.meshgrid(*([wts1] * self.dim), indexing="ij")
+            wts = np.prod(np.stack(wmesh, axis=-1).reshape(-1, self.dim), axis=-1)
+            keep = np.sum(w * w, axis=-1) < 1.0
+            w, wts = w[keep], wts[keep]
+            if not self.eta.is_constant and x is None:
+                # no single U(x): integrate in z directly over the unit ball,
+                # which contains supp rho(x, .) for every x.  Adequate
+                # resolution is then the caller's concern (moderate gamma).
+                return w, wts
+        e = self._eta_x(x).reshape(self.dim)
         ew = w @ e
         z = w - (self.gamma / (1.0 + self.gamma)) * ew[:, None] * e[None, :]
         return z, wts / self.det_u

@@ -46,6 +46,16 @@ def test_u_matrix_examples():
     assert np.allclose(u[0], np.diag([4.0, 1.0]))
     assert det == 4.0
 
+    # a position-dependent direction has no U without x, as for rho
+    eta_var = DirectionField.mollified_normal(catalog.get_field("C"), 0.3)
+    k_var = AnisotropicKernel(poly_bump, eta_var, 3.0)
+    with pytest.raises(ValueError, match="needs x"):
+        k_var.u_matrix()
+    x = np.array([[0.1, 0.7], [0.4, 0.2]])
+    u, _, _ = k_var.u_matrix(x)
+    e = eta_var.eta(x)
+    assert np.allclose(u, np.eye(2) + 3.0 * e[:, :, None] * e[:, None, :])
+
 
 @given(
     st.floats(min_value=0.0, max_value=2 * math.pi),
@@ -235,6 +245,33 @@ def test_d1_rho_integral_vanishes():
             xs = np.broadcast_to(x, (z.shape[0], 2))
             val = np.linalg.norm(np.sum(k.d1_rho(xs, z) * w[:, None], axis=0))
             assert val < 1e-6
+
+
+@pytest.mark.parametrize("gamma", [0.0, 3.0])
+@pytest.mark.parametrize("kind", ["constant", "constant_x_none", "mollified_normal"])
+def test_x_broadcasts_against_z(kind, gamma):
+    # (P, 2) x-points against (q, 1, 2) z-nodes give the (q, P) planes of
+    # the paired call on the tiled arrays, value for value
+    if kind == "mollified_normal":
+        eta = DirectionField.mollified_normal(catalog.get_field("C"), 0.3)
+    else:
+        eta = DirectionField.constant((0.6, 0.8))
+    k = AnisotropicKernel(poly_bump, eta, gamma)
+    rng = np.random.default_rng(31)
+    x = rng.random((7, 2))
+    z = 0.8 * rng.random((5, 2)) - 0.4
+    q, p = z.shape[0], x.shape[0]
+    x_tile = np.broadcast_to(x, (q, p, 2)).reshape(-1, 2)
+    z_tile = np.repeat(z, p, axis=0)
+    x_arg = None if kind == "constant_x_none" else x
+    for method in (k.rho, k.d2_rho, k.d1_rho):
+        paired = method(x_tile, z_tile)
+        planes = method(x_arg, z[:, None, :])
+        if x_arg is None:
+            assert planes.shape[:2] == (q, 1)
+            planes = np.broadcast_to(planes, (q, p) + planes.shape[2:])
+        assert np.array_equal(planes, paired.reshape((q, p) + paired.shape[1:]))
+    assert np.any(k.rho(x_tile, z_tile) > 0.0)
 
 
 def test_direction_field_unit_norm_and_jacobian():
