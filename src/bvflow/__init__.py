@@ -15,7 +15,9 @@ catalog      explicit fields A..E with closed-form derivative structure
 kernels      the mollifier family rho(x, z) = F0(|U(x) z|^2) det U(x)
 flow         ensemble integration, densities, flow maps
 functionals  the discrepancy functional, its decomposition, bounds
-experiments  scenario runner, rate fits, invariant battery
+experiments  scenario runner, rate fits, the check battery's entry point
+gates        one function per checked invariant, shared by ``bvflow check``
+             and the acceptance criteria
 cli          command line front end (catalog / run / sweep / check / fit)
 
 Submodules load on first access (PEP 562), so importing the package,

@@ -1,5 +1,6 @@
 """Scenario configuration, sweep execution, rate fitting, and the
-invariant check suite.
+entry point of the invariant battery (the gates live in
+:mod:`bvflow.gates`).
 
 A scenario is a flat key=value file with dotted sections::
 
@@ -48,7 +49,6 @@ __all__ = [
     "run_scenario",
     "fit_rate",
     "run_checks",
-    "InvariantResult",
 ]
 
 
@@ -352,309 +352,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
     return {"report": report_path, "sweep": sweep_path, "meta": meta_path}
 
 
-# ---------------------------------------------------------------------------
-# the invariant check suite
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class InvariantResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-def _check(name, condition, detail) -> InvariantResult:
-    return InvariantResult(name, bool(condition), detail)
-
-
 def run_checks(fast: bool = True):
-    """Execute one check per spec-level invariant at quick settings.
+    """Run every gate of :mod:`bvflow.gates` in its order, at the fast
+    size (``bvflow check``) or at the acceptance size (``check --full``).
 
-    Returns a list of :class:`InvariantResult`; the CLI prints one line
-    per entry and exits nonzero when any fails.  The full suite lives in
-    the tests; this is the operational smoke battery (a fresh build must
-    pass everything here in a few minutes).
+    Returns a list of :class:`bvflow.gates.InvariantResult`; the CLI
+    prints one line per entry and exits nonzero when any fails.
     """
-    from .kernels import poly_bump, smooth_exp
-    from .torus import QuadratureGrid, integrate, min_image_coords, wrap_coords
+    from . import gates  # on first use: a scenario run never loads it
 
-    rng = np.random.default_rng(20240831)
-    results = []
-
-    # torus: wrap idempotence and min-image antisymmetry
-    pts = rng.normal(scale=3.0, size=(256, 2))
-    w1 = wrap_coords(pts)
-    results.append(
-        _check(
-            "torus.wrap_idempotent",
-            np.array_equal(wrap_coords(w1), w1),
-            "wrap(wrap(v)) == wrap(v) on 256 samples",
-        )
-    )
-    a, b = rng.random((2, 256, 2))
-    anti = np.max(np.abs(min_image_coords(a, b) + min_image_coords(b, a)))
-    results.append(
-        _check("torus.min_image_antisymmetry", anti < 1e-15, f"max defect {anti:.2e}")
-    )
-    grid = QuadratureGrid.torus(48, 2)
-    f1 = lambda p: np.sin(2 * np.pi * p[:, 0])
-    f2 = lambda p: np.cos(2 * np.pi * (p[:, 0] + 2 * p[:, 1]))
-    lin = abs(
-        integrate(lambda p: 2.0 * f1(p) + 3.0 * f2(p), grid)
-        - 2.0 * integrate(f1, grid)
-        - 3.0 * integrate(f2, grid)
-    )
-    results.append(_check("torus.integrate_linear", lin < 1e-14, f"defect {lin:.2e}"))
-
-    # fields: orthogonality, rank-one structure, divergence identity
-    worst_orth = 0.0
-    worst_rank = 0.0
-    for fid in ("C", "D"):
-        fld = cat.get_field(fid)
-        for jump in fld.jumps:
-            xi = np.asarray(jump.xi)
-            eta_b = np.asarray(jump.eta)
-            worst_orth = max(worst_orth, abs(float(xi @ eta_b)))
-            sv = np.linalg.svd(np.outer(xi, eta_b), compute_uv=False)
-            worst_rank = max(worst_rank, abs(sv[0] - 1.0), abs(sv[1]))
-    results.append(
-        _check(
-            "fields.rank_one_orthogonal",
-            worst_orth < 1e-14 and worst_rank < 1e-14,
-            f"max <xi,eta> {worst_orth:.2e}, singular value defect {worst_rank:.2e}",
-        )
-    )
-    phis = [
-        cat.TrigPolynomial(((0.7, (1, 0), 0.3), (0.4, (0, 2), 1.1))),
-        cat.TrigPolynomial(((1.0, (2, 1), 0.0),)),
-    ]
-    worst_div = 0.0
-    for fid in cat.FIELD_IDS:
-        fld = cat.get_field(fid)
-        for phi in phis:
-            worst_div = max(
-                worst_div, abs(cat.distributional_divergence_check(fld, phi, 128))
-            )
-    results.append(
-        _check(
-            "fields.distributional_divergence",
-            worst_div < 1e-8,
-            f"max residual {worst_div:.2e} over fields x test functions",
-        )
-    )
-    grad_worst = 0.0
-    h = 1e-6
-    for fid in cat.FIELD_IDS:
-        fld = cat.get_field(fid)
-        pts = rng.random((40, 2))
-        jac = fld.jacobian_many(pts)
-        for k in range(2):
-            dp = pts.copy()
-            dp[:, k] += h
-            dm = pts.copy()
-            dm[:, k] -= h
-            fd = (fld.eval_many(dp) - fld.eval_many(dm)) / (2 * h)
-            interior = np.ones(pts.shape[0], dtype=bool)
-            for jump in fld.jumps:
-                interior &= np.abs(jump.level(pts)) > 4 * h
-            grad_worst = max(
-                grad_worst, float(np.max(np.abs(fd[interior] - jac[interior, :, k])))
-            )
-    results.append(
-        _check(
-            "fields.jacobian_finite_difference",
-            grad_worst < 1e-4,
-            f"max |FD - closed form| {grad_worst:.2e} (O(h^2) at h=1e-6)",
-        )
-    )
-
-    # kernels: normalization across gamma, d1 integral, change of variables
-    worst_norm = 0.0
-    for profile in (smooth_exp, poly_bump):
-        for gamma in (0.0, 1.0, 10.0, 100.0):
-            for _ in range(3):
-                ang = rng.random() * np.pi
-                eta = DirectionField.constant((np.cos(ang), np.sin(ang)))
-                kern = AnisotropicKernel(profile, eta, gamma)
-                z, w = kern.z_quadrature(None, 160, rule="gauss")
-                worst_norm = max(
-                    worst_norm, abs(float(np.sum(kern.rho(None, z) * w)) - 1.0)
-                )
-    results.append(
-        _check(
-            "kernels.normalization",
-            worst_norm < 1e-6,
-            f"max |int rho - 1| {worst_norm:.2e} over profiles x gamma",
-        )
-    )
-    eta_var = DirectionField.mollified_normal(cat.get_field("C"), 0.3)
-    kern = AnisotropicKernel(poly_bump, eta_var, 2.0)
-    worst_d1 = 0.0
-    for _ in range(5):
-        x = rng.random((1, 2))
-        z, w = kern.z_quadrature(x, 160, rule="gauss")
-        val = np.linalg.norm(np.sum(kern.d1_rho(x, z) * w[:, None], axis=0))
-        worst_d1 = max(worst_d1, float(val))
-    results.append(
-        _check(
-            "kernels.d1_rho_integral_zero",
-            worst_d1 < 1e-6,
-            f"max |int d1_rho dz| {worst_d1:.2e}",
-        )
-    )
-
-    # scalar-product bounds at sampled jump data
-    violations = 0
-    for _ in range(2000):
-        fid = ("C", "D")[rng.integers(2)]
-        fld = cat.get_field(fid)
-        jump = fld.jumps[rng.integers(len(fld.jumps))]
-        xi = np.asarray(jump.xi)
-        eta_b = np.asarray(jump.eta)
-        gamma = float(10 ** (rng.random() * 3))
-        delta = float(rng.random() * 0.3)
-        c, s = np.cos(delta), np.sin(delta)
-        eta = np.array([c * eta_b[0] - s * eta_b[1], s * eta_b[0] + c * eta_b[1]])
-        z = rng.normal(size=2)
-        z /= np.linalg.norm(z) * (1.0 + rng.random())
-        u = np.eye(2) + gamma * np.outer(eta, eta)
-        u_inv = np.eye(2) - (gamma / (1 + gamma)) * np.outer(eta, eta)
-        mis = float(np.linalg.norm(eta - eta_b))
-        lhs1 = abs(float(z @ (u @ xi)))
-        rhs1 = (1.0 + gamma * mis) * float(np.linalg.norm(z))
-        lhs2 = abs(float(eta_b @ (u_inv @ z)))
-        rhs2 = (mis + 1.0 / (1.0 + gamma)) * float(np.linalg.norm(z))
-        if lhs1 > rhs1 + 1e-12 or lhs2 > rhs2 + 1e-12:
-            violations += 1
-    results.append(
-        _check(
-            "kernels.scalar_product_bounds",
-            violations == 0,
-            f"{violations} violations in 2000 samples",
-        )
-    )
-
-    # flow: group property, reversibility, density mass
-    fld_a = cat.get_field("A")
-    solver = flow_mod.FlowSolverConfig(step=2e-3)
-    pts = rng.random((64, 2))
-    ens = flow_mod.integrate_flow(fld_a, solver, pts, [0.0, 0.5])
-    defect = flow_mod.check_group_property(ens, 0.2, 0.3, max_points=16)
-    results.append(
-        _check("flow.group_property", defect < 1e-7, f"defect {defect:.2e} (field A)")
-    )
-    back = flow_mod.integrate_flow(
-        fld_a, solver, ens.positions[ens.time_index(0.5)], [0.0, -0.5]
-    )
-    from .torus import torus_distance
-
-    rev = float(
-        np.max(torus_distance(back.positions[back.time_index(-0.5)], pts))
-    )
-    results.append(
-        _check("flow.backward_forward", rev < 1e-7, f"max return error {rev:.2e}")
-    )
-    grid96 = QuadratureGrid.torus(96).nodes
-    fld_b = cat.get_field("B")
-    grid_b = QuadratureGrid.torus(256).nodes.reshape(256, 256, 2)[:, :4].reshape(-1, 2)
-    exact_cfg = flow_mod.FlowSolverConfig(method="explicit_exact")
-    ens_b = flow_mod.integrate_flow(fld_b, exact_cfg, grid_b, [0.0, 0.5])
-    mass = flow_mod.density_from_flow(ens_b, 0.5).total_mass()
-    results.append(
-        _check(
-            "flow.density_mass",
-            abs(mass - 1.0) < 1e-6,
-            f"int mu - 1 = {mass - 1.0:+.2e} (field B, t=0.5)",
-        )
-    )
-    # field E violation triad
-    fld_e = cat.get_field("E")
-    viol = fld_e.singular_divergence_violation()
-    exact = flow_mod.FlowSolverConfig(method="explicit_exact")
-    ens_e = flow_mod.integrate_flow(fld_e, exact, grid96, [0.0, 0.4])
-    hist = flow_mod.pushforward_histogram(ens_e, 0.4, 16)
-    zl, zr = flow_mod.collision_branch_maps(grid96, 0.3)
-    branch = float(np.mean(torus_distance(zl, zr)))
-    results.append(
-        _check(
-            "flow.field_e_violations",
-            viol > 0.9 and hist.values.max() > 5.0 and hist.values.min() == 0.0
-            and branch >= 0.1,
-            f"<xi,eta>={viol:.1f}, hist max {hist.values.max():.1f}, "
-            f"empty bins, branch discrepancy {branch:.3f}",
-        )
-    )
-
-    # functionals: R_a identity, singular decay, trace bound
-    eta_x = DirectionField.constant((1.0, 0.0))
-    worst_ra = 0.0
-    for fid in ("A", "B", "C"):
-        fld = cat.get_field(fid)
-        for gamma in (0.0, 10.0):
-            kern = AnisotropicKernel(poly_bump, eta_x, gamma)
-            pts = [x for x in (rng.random(2) for _ in range(5))
-                   if all(abs(j.level(x[None, :])[0]) > 1e-3 for j in fld.jumps)]
-            residuals = fn.R_a_check(fld, kern, np.reshape(pts, (-1, 2)), n_z=160)
-            worst_ra = max([worst_ra, *np.abs(residuals)])
-    results.append(
-        _check("functionals.R_a_identity", worst_ra < 1e-6, f"max residual {worst_ra:.2e}")
-    )
-    gs = np.array([0.0, 1.0, 3.0, 9.0, 27.0])
-    sb = np.array(
-        [
-            fn.singular_bound(
-                cat.get_field("C"), AnisotropicKernel(poly_bump, eta_x, g), n_z=96
-            )
-            for g in gs
-        ]
-    )
-    slope, err = fit_rate(sb, 1.0 + gs)
-    results.append(
-        _check(
-            "functionals.singular_decay",
-            abs(slope + 1.0) < 0.05,
-            f"log-log slope {slope:.4f} +- {err:.1e} vs -1",
-        )
-    )
-    margins = []
-    for _ in range(60):
-        m = rng.normal(size=(2, 2))
-        ang = rng.random() * np.pi
-        res = fn.trace_identity(
-            m, poly_bump, gammas=(float(10 ** (rng.random() * 2)),),
-            eta_angles=(ang,), n_z=120,
-        )
-        margins.append(res.lower_margin)
-    results.append(
-        _check(
-            "functionals.trace_lower_bound",
-            min(margins) > -1e-8,
-            f"worst margin {min(margins):.2e} over 60 random pairs",
-        )
-    )
-
-    # experiments: exact power-law fit
-    slope, err = fit_rate(np.array([1.0, 4.0, 9.0, 16.0]), np.array([1.0, 2.0, 3.0, 4.0]))
-    results.append(
-        _check(
-            "experiments.fit_rate_exact",
-            abs(slope - 2.0) < 1e-12 and err < 1e-10,
-            f"slope {slope:.12f} +- {err:.1e} on exact square law",
-        )
-    )
-    if not fast:
-        # decomposition consistency at reduced size (slow battery only)
-        fld_c = cat.get_field("C")
-        fmap = flow_mod.ExactFlowMap(fld_c)
-        kern = AnisotropicKernel(poly_bump, eta_x, 0.0)
-        fcfg = fn.FunctionalConfig(epsilon=0.05, n_x=32, n_z=32)
-        res = fn.decomposition_check(fmap, fmap, fld_c, kern, fcfg, 0.3)
-        results.append(
-            _check(
-                "functionals.decomposition",
-                res["gap"] <= res["bound"],
-                f"gap {res['gap']:.2e} vs bound {res['bound']:.2e}",
-            )
-        )
-    return results
+    return [gate(full=not fast) for gate in gates.GATES]

@@ -90,9 +90,10 @@ class BumpProfile:
         s = np.asarray(s, dtype=float)
         inside = s < 1.0
         if self.tag == "smooth_exp":
-            with np.errstate(divide="ignore", over="ignore"):
-                one_minus = np.maximum(1.0 - s, 1e-300)
-                vals = -np.exp(-1.0 / one_minus) / one_minus**2
+            # 1 - s >= 2^-53 inside the support; outside, a stand-in 1
+            # keeps the masked branch free of 0/0
+            one_minus = np.where(inside, 1.0 - s, 1.0)
+            vals = -np.exp(-1.0 / one_minus) / one_minus**2
             return np.where(inside, vals, 0.0)
         if self.tag == "poly_bump":
             return np.where(inside, -4.0 * np.maximum(1.0 - s, 0.0) ** 3, 0.0)

@@ -23,16 +23,11 @@ from bvflow.flow import (
     make_flow_map,
     pushforward_histogram,
 )
-from bvflow.torus import torus_distance, wrap_half
+from bvflow.torus import QuadratureGrid, torus_distance, wrap_half
 
 TWO_PI = 2.0 * math.pi
 RK4 = FlowSolverConfig(step=1e-3)
 EXACT = FlowSolverConfig(method="explicit_exact")
-
-
-def uniform_grid(m):
-    ax = (np.arange(m) + 0.5) / m
-    return np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 def oracle_b_flow(x1, t):
@@ -179,7 +174,7 @@ def test_ode_residual():
 
 
 def test_density_constant_fields():
-    grid = uniform_grid(32)
+    grid = QuadratureGrid.torus(32).nodes
     for fid in ("C", "D"):
         ens = integrate_flow(get_field(fid), EXACT, grid, [0.0, 1.0])
         dens = density_from_flow(ens, 1.0)
@@ -193,7 +188,7 @@ def test_density_constant_fields():
 
 def test_density_mass_field_b():
     # rk4 route at moderate resolution
-    grid = uniform_grid(256)
+    grid = QuadratureGrid.torus(256).nodes
     ens = integrate_flow(get_field("B"), FlowSolverConfig(step=2e-3), grid, [0.0, 0.5])
     dens = density_from_flow(ens, 0.5)
     assert np.all(dens.values > 0)
@@ -221,7 +216,7 @@ def test_density_consistent_with_backward_route():
 
 
 def test_histogram_uniform_for_shear():
-    grid = uniform_grid(256)
+    grid = QuadratureGrid.torus(256).nodes
     ens = integrate_flow(get_field("C"), EXACT, grid, [0.0, 0.3])
     hist = pushforward_histogram(ens, 0.3, 32)
     assert np.max(np.abs(hist.values - 1.0)) < 1e-12
@@ -230,7 +225,7 @@ def test_histogram_uniform_for_shear():
 def test_density_matches_histogram_field_b():
     # histogram of the backward ensemble estimates mu(t, .) = X(-t)_# lambda
     fld = get_field("B")
-    grid = uniform_grid(512)
+    grid = QuadratureGrid.torus(512).nodes
     ens = integrate_flow(fld, EXACT, grid, [-0.5, 0.0, 0.5])
     bins = 64
     hist = pushforward_histogram(ens, -0.5, bins)
@@ -248,25 +243,12 @@ def test_density_matches_histogram_field_b():
     assert diff < 0.05 * np.max(mu_bins)
 
 
-def test_near_incompressibility_bands():
-    # A at t = 0.3: band 1 +- 0.05; C at t = 1: exact; D at t = 1: 1 +- 0.1
-    ens = integrate_flow(get_field("A"), FlowSolverConfig(step=2e-3),
-                         uniform_grid(512), [0.0, 0.3])
-    hist = pushforward_histogram(ens, 0.3, 8)
-    assert hist.values.min() > 0.95 and hist.values.max() < 1.05
-    ens_c = integrate_flow(get_field("C"), EXACT, uniform_grid(256), [0.0, 1.0])
-    h_c = pushforward_histogram(ens_c, 1.0, 16)
-    assert np.max(np.abs(h_c.values - 1.0)) < 1e-12
-    ens_d = integrate_flow(get_field("D"), EXACT, uniform_grid(256), [0.0, 1.0])
-    h_d = pushforward_histogram(ens_d, 1.0, 16)
-    assert h_d.values.min() > 0.9 and h_d.values.max() < 1.1
-
-
 def test_field_b_histogram_band():
     # bounded-divergence band: density within [exp(-2 pi t), exp(2 pi t)] up to
     # lattice sampling error
     t = 0.5
-    ens = integrate_flow(get_field("B"), EXACT, uniform_grid(512), [0.0, t])
+    ens = integrate_flow(get_field("B"), EXACT, QuadratureGrid.torus(512).nodes,
+                         [0.0, t])
     hist = pushforward_histogram(ens, t, 8)
     lo, hi = math.exp(-TWO_PI * t), math.exp(TWO_PI * t)
     assert hist.values.min() >= lo - 0.05
@@ -319,7 +301,7 @@ def test_field_e_sticky_forward():
 
 
 def test_field_e_histogram_blowup_and_vacuum():
-    grid = uniform_grid(256)
+    grid = QuadratureGrid.torus(256).nodes
     ens = integrate_flow(get_field("E"), EXACT, grid, [0.0, 0.4, 0.6])
     hist4 = pushforward_histogram(ens, 0.4, 32)
     vals4 = hist4.values.reshape(32, 32)
@@ -335,7 +317,7 @@ def test_field_e_histogram_blowup_and_vacuum():
 
 
 def test_collision_branch_discrepancy():
-    grid = uniform_grid(400)
+    grid = QuadratureGrid.torus(400).nodes
     z_l, z_r = collision_branch_maps(grid, 0.3)
     disc = float(np.mean(torus_distance(z_l, z_r)))
     # collided mass 0.6 times torus distance 0.4 between the branches
