@@ -161,9 +161,6 @@ def main(argv=None) -> int:
     except (QuadratureError, NonTransversalCrossingError, RunawayTrajectoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except FloatingPointError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -36,13 +36,13 @@ initial grid gives the density field with no scattered-data step.
 The functionals evaluate flows at arbitrary points through one
 protocol, :class:`FlowMap`: a subclass supplies ``displacement(t, pts)``
 and ``log_jacobian(t, pts)``, and the base class derives ``position``
-and ``density`` and supplies a no-op ``prepare`` hook and a zero
-``interpolation_error``.  The base class also owns the one batch
-mechanism: ``begin_batch(pts, times)`` keeps the work a map shares
-across all queries on that point set and those times (its
-``_point_state``), and every query on that very array reuses it until
-``end_batch``.  The point set may be a :class:`ShiftedGrid`, a tensor
-grid under several shifts, whose queries pass its flat ``points``.
+and ``density`` and supplies a zero ``interpolation_error``.  The base
+class also owns the one batch mechanism: ``begin_batch(pts, times)``
+keeps the work a map shares across all queries on that point set and
+those times (its ``_point_state``), and every query on that very array
+reuses it until ``end_batch``.  The point set may be a
+:class:`ShiftedGrid`, a tensor grid under several shifts, whose queries
+pass its flat ``points``.
 Three maps implement the protocol:
 :class:`ExactFlowMap` (the closed forms), :class:`InterpolatedFlowMap`
 (RK4 on a grid plus splines) and :class:`DirectFlowMap` (RK4 on the
@@ -716,7 +716,6 @@ class FlowMap(ABC):
 
     A subclass implements ``displacement`` (the unwrapped X(t, x) - x)
     and ``log_jacobian``; ``position`` and ``density`` follow from them.
-    ``prepare`` announces the times about to be queried (a no-op here).
     ``begin_batch(pts, times=())`` / ``end_batch`` bracket many queries
     on one point set, optionally naming the times that will be asked of
     it: the batch keeps that set's ``_point_state``, the work those times
@@ -748,9 +747,6 @@ class FlowMap(ABC):
     def density(self, t: float, pts) -> np.ndarray:
         """mu(t, .) = exp(log J(t, .)) at the query points."""
         return np.exp(self.log_jacobian(t, pts))
-
-    def prepare(self, times) -> None:
-        pass
 
     def begin_batch(self, pts, times=()) -> None:
         if isinstance(pts, ShiftedGrid):
@@ -934,10 +930,11 @@ class InterpolatedFlowMap(FlowMap):
     the two displacement channels and log J as the rows of one (3, n*n)
     table.  The grid is integrated through all requested times in one
     call of :func:`integrate_flow`, which computes each time as a solve
-    for it alone would, so a table is a function of its t only.  The
-    periodic prefilter is the exact inverse of the spline's node
-    operator, applied in Fourier space with numpy's FFT
-    (:func:`_spline_prefilter`).
+    for it alone would, so a table is a function of its t only.  A batch
+    prepares the times it names that have no table yet, so a pair sweep's
+    times come from one such call.  The periodic prefilter is the exact
+    inverse of the spline's node operator, applied in Fourier space with
+    numpy's FFT (:func:`_spline_prefilter`).
 
     A query is a sparse product with the points' tap-weight matrix
     (:func:`_spline_matrix`, which loads ``scipy.sparse`` on its first
@@ -990,18 +987,17 @@ class InterpolatedFlowMap(FlowMap):
             self._tables[t] = _spline_prefilter(grids).reshape(3, n * n)
 
     def _lookup(self, t: float):
-        key = round(float(t), 12)
-        if key not in self._tables:
-            self.prepare([key])
-        return self._tables[key]
+        return self._tables[round(float(t), 12)]
 
     def _point_state(self, pts, times):
         """{t: (displacement, log J)} at ``pts`` for each of ``times``,
-        from one product with their stacked tables."""
+        from one product with their stacked tables; the times without a
+        table are prepared first, in one call."""
         times = tuple(dict.fromkeys(float(t) for t in times))
         if not times:
             return {}
         if self._stacked[0] != times:
+            self.prepare(times)
             tables = np.concatenate([self._lookup(t) for t in times])
             self._stacked = (times, tables.T.copy())
         vals = _spline_values(pts, self.grid_n, self._stacked[1])

@@ -188,9 +188,6 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     else:
         want = dict.fromkeys(times, tuple(want))
     asked = set().union(*want.values())
-    flow_x.prepare(times)
-    if flow_y is not flow_x:
-        flow_y.prepare(times)
     z_pts, z_wts = kernel.z_quadrature(None, cfg.n_z, rule="midpoint")
     totals = {t: dict.fromkeys(keys, 0.0) for t, keys in want.items()}
 

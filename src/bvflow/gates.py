@@ -6,7 +6,9 @@ seed, its sizes, its threshold and its detail line.  The fast size is
 the one ``bvflow check`` runs; the full size is the one the acceptance
 criterion in ``tests/test_acceptance.py`` asserts on (``check --full``
 runs it too).  Where the two sizes differ, the fast one only shrinks
-counts and grids.  Gates without an acceptance criterion have one size.
+counts and grids.  Gates without an acceptance criterion have one size;
+they are the only check of their invariant, and the test suite runs them
+through ``tests/test_experiments.py::test_check_battery_passes``.
 
 Every gate seeds its own generator: with an acceptance criterion, that
 criterion's seed (101-110); otherwise :data:`BATTERY_SEED`.  Adding or
@@ -29,7 +31,7 @@ from .experiments import fit_rate
 from .kernels import PROFILES, AnisotropicKernel, DirectionField, poly_bump, smooth_exp
 from .torus import QuadratureGrid, integrate, min_image_coords, torus_distance, wrap_coords
 
-__all__ = ["InvariantResult", "GATES", "BATTERY_SEED", "aligned_gauss_box"]
+__all__ = ["InvariantResult", "GATES", "BATTERY_SEED", "gauss_box", "aligned_gauss_box"]
 
 BATTERY_SEED = 20240831
 ETA_X = DirectionField.constant((1.0, 0.0))
@@ -63,17 +65,20 @@ def _gate(layer):
     return wrap
 
 
-def aligned_gauss_box(eta, gamma, n):
-    """z-quadrature over supp rho for a direction eta (2,): the tensor
-    Gauss-Legendre rule on [-1, 1]^2 in the stretched frame, mapped by
-    the inverse dilation.  Built with numpy's own rule, so it shares no
-    quadrature code with the kernel it checks."""
+def gauss_box(n):
+    """(nodes (n*n, 2), weights (n*n,)) of the tensor Gauss-Legendre rule
+    of order n on [-1, 1]^2.  Built with numpy's own rule, so it shares
+    no quadrature code with the kernel it checks."""
     gl_x, gl_w = np.polynomial.legendre.leggauss(n)
     w = np.stack(np.meshgrid(gl_x, gl_x, indexing="ij"), axis=-1).reshape(-1, 2)
-    wts = np.prod(
-        np.stack(np.meshgrid(gl_w, gl_w, indexing="ij"), axis=-1).reshape(-1, 2),
-        axis=1,
-    )
+    return w, np.outer(gl_w, gl_w).reshape(-1)
+
+
+def aligned_gauss_box(eta, gamma, box):
+    """z-quadrature over supp rho for a direction eta (2,): the rule
+    ``box`` of :func:`gauss_box` in the stretched frame, mapped by the
+    inverse dilation."""
+    w, wts = box
     eta = np.asarray(eta, dtype=float)
     z = w - (gamma / (1.0 + gamma)) * (w @ eta)[:, None] * eta[None, :]
     return z, wts / (1.0 + gamma)
@@ -118,29 +123,45 @@ def integrate_linear(full):
 
 @_gate("fields")
 def rank_one_orthogonal(full):
+    """Every jump's D^s b density xi (x) eta_b is rank one with unit
+    singular value, on C, D and E; xi is orthogonal to eta_b on C and D
+    (E breaks that on purpose, see ``field_e_violations``)."""
     worst_orth = worst_rank = 0.0
-    for fid in ("C", "D"):
+    for fid in ("C", "D", "E"):
         for jump in cat.get_field(fid).jumps:
             xi, eta_b = np.asarray(jump.xi), np.asarray(jump.eta)
-            worst_orth = max(worst_orth, abs(float(xi @ eta_b)))
+            if fid != "E":
+                worst_orth = max(worst_orth, abs(float(xi @ eta_b)))
             sv = np.linalg.svd(np.outer(xi, eta_b), compute_uv=False)
             worst_rank = max(worst_rank, abs(sv[0] - 1.0), abs(sv[1]))
     detail = f"max <xi,eta> {worst_orth:.2e}, singular value defect {worst_rank:.2e}"
     return max(worst_orth, worst_rank) < 1e-14, detail, max(worst_orth, worst_rank)
 
 
+# the constant 1 tests E's jump terms, whose pairings <xi, eta> = +-1 cancel
+# only if their sigma dH agree
+TEST_FUNCTIONS = tuple(cat.TrigPolynomial(terms) for terms in (
+    ((0.7, (1, 0), 0.3), (0.4, (0, 2), 1.1)),
+    ((1.0, (2, 1), 0.0),),
+    ((1.0, (1, 0), 0.0),),
+    ((0.8, (0, 1), 0.4),),
+    ((0.5, (1, 1), 1.0), (0.3, (2, 0), 0.2)),
+    ((0.7, (2, 1), 0.0), (0.2, (0, 3), 2.1)),
+    ((0.4, (1, 2), 0.9), (0.6, (3, 1), 0.5)),
+    ((1.0, (0, 0), 0.0),),
+))
+
+
 @_gate("fields")
 def distributional_divergence(full):
-    phis = [
-        cat.TrigPolynomial(((0.7, (1, 0), 0.3), (0.4, (0, 2), 1.1))),
-        cat.TrigPolynomial(((1.0, (2, 1), 0.0),)),
-    ]
     worst = max(
         abs(cat.distributional_divergence_check(cat.get_field(fid), phi, 128))
         for fid in cat.FIELD_IDS
-        for phi in phis
+        for phi in TEST_FUNCTIONS
     )
-    return worst < 1e-8, f"max residual {worst:.2e} over fields x test functions", worst
+    detail = (f"max residual {worst:.2e} over {len(cat.FIELD_IDS)} fields x "
+              f"{len(TEST_FUNCTIONS)} test functions")
+    return worst < 1e-8, detail, worst
 
 
 @_gate("fields")
@@ -150,18 +171,18 @@ def jacobian_finite_difference(full):
     worst = 0.0
     for fid in cat.FIELD_IDS:
         fld = cat.get_field(fid)
-        pts = rng.random((40, 2))
+        pts = rng.random((100, 2))
         jac = fld.jacobian_many(pts)
         interior = np.ones(pts.shape[0], dtype=bool)
         for jump in fld.jumps:
-            interior &= np.abs(jump.level(pts)) > 4 * h
+            interior &= np.abs(jump.level(pts)) > 10 * h
         for k in range(2):
             dp, dm = pts.copy(), pts.copy()
             dp[:, k] += h
             dm[:, k] -= h
             fd = (fld.eval_many(dp) - fld.eval_many(dm)) / (2 * h)
             worst = max(worst, float(np.max(np.abs(fd[interior] - jac[interior, :, k]))))
-    return worst < 1e-4, f"max |FD - closed form| {worst:.2e} (O(h^2) at h=1e-6)", worst
+    return worst < 5e-9, f"max |FD - closed form| {worst:.2e} (O(h^2) at h=1e-6)", worst
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +196,13 @@ def normalization(full):
     position-dependent direction (criterion 1)."""
     xs = np.random.default_rng(101).random((20 if full else 3, 2))
     eta_var = DirectionField.mollified_normal(cat.get_field("C"), 0.35)
+    box = gauss_box(120)
     worst = 0.0
     for profile in PROFILES.values():
         for gamma in (0.0, 1.0, 10.0, 100.0):
             kern = AnisotropicKernel(profile, eta_var, gamma)
             for x in xs:
-                z, w = aligned_gauss_box(eta_var.eta(x[None, :])[0], gamma, 120)
+                z, w = aligned_gauss_box(eta_var.eta(x[None, :])[0], gamma, box)
                 val = float(np.sum(kern.rho(np.broadcast_to(x, z.shape), z) * w))
                 worst = max(worst, abs(val - 1.0))
     detail = f"max |int rho - 1| {worst:.2e} over profiles x gamma x {len(xs)} points"
@@ -249,23 +271,46 @@ def group_property(full):
 
 @_gate("flow")
 def backward_forward(full):
-    fld = cat.get_field("A")
-    solver = flow_mod.FlowSolverConfig(step=2e-3)
+    """X(-T, X(T, x)) = x for the fields that satisfy the hypotheses:
+    rk4_event on A and B at step 2e-3 and on C at 1e-2 (C's pieces are
+    constant, so the step only sets the work), and the closed forms of C
+    and D.  E cannot be run backward."""
     pts = np.random.default_rng(BATTERY_SEED).random((64, 2))
-    ens = flow_mod.integrate_flow(fld, solver, pts, [0.0, 0.5])
-    back = flow_mod.integrate_flow(fld, solver, ens.positions[ens.time_index(0.5)],
-                                   [0.0, -0.5])
-    rev = float(np.max(torus_distance(back.positions[back.time_index(-0.5)], pts)))
-    return rev < 1e-7, f"max return error {rev:.2e}", rev
+    exact = flow_mod.FlowSolverConfig(method="explicit_exact")
+    worst = 0.0
+    for fid, solver in (("A", flow_mod.FlowSolverConfig(step=2e-3)),
+                        ("B", flow_mod.FlowSolverConfig(step=2e-3)),
+                        ("C", flow_mod.FlowSolverConfig(step=1e-2)),
+                        ("C", exact), ("D", exact)):
+        fld = cat.get_field(fid)
+        ens = flow_mod.integrate_flow(fld, solver, pts, [0.0, 0.7])
+        back = flow_mod.integrate_flow(fld, solver, ens.positions[ens.time_index(0.7)],
+                                       [0.0, -0.7])
+        rev = np.max(torus_distance(back.positions[back.time_index(-0.7)], pts))
+        worst = max(worst, float(rev))
+    return worst < 1e-8, f"max return error {worst:.2e} (A, B, C rk4; C, D exact)", worst
 
 
 @_gate("flow")
 def density_mass(full):
-    grid = QuadratureGrid.torus(256).nodes.reshape(256, 256, 2)[:, :4].reshape(-1, 2)
+    """int mu(t, .) = 1 for field B, whose density depends on x1 alone:
+    the closed form and rk4_event (step 2e-3, every density > 0) at
+    t = 0.5 on a 256 x 4 grid, and the closed form at t = 1, whose
+    expansion peak needs the 8192 x 2 grid."""
     exact = flow_mod.FlowSolverConfig(method="explicit_exact")
-    ens = flow_mod.integrate_flow(cat.get_field("B"), exact, grid, [0.0, 0.5])
-    defect = flow_mod.density_from_flow(ens, 0.5).total_mass() - 1.0
-    return abs(defect) < 1e-6, f"int mu - 1 = {defect:+.2e} (field B, t=0.5)", abs(defect)
+    rk4 = flow_mod.FlowSolverConfig(step=2e-3)
+    positive, defects = True, []
+    for solver, t, n1, n2 in ((exact, 0.5, 256, 4), (rk4, 0.5, 256, 4), (exact, 1.0, 8192, 2)):
+        ax1, ax2 = (np.arange(n1) + 0.5) / n1, (np.arange(n2) + 0.5) / n2
+        grid = np.stack(np.meshgrid(ax1, ax2, indexing="ij"), axis=-1).reshape(-1, 2)
+        ens = flow_mod.integrate_flow(cat.get_field("B"), solver, grid, [0.0, t])
+        dens = flow_mod.density_from_flow(ens, t)
+        positive &= bool(np.all(dens.values > 0))
+        defects.append(dens.total_mass() - 1.0)
+    worst = max(abs(d) for d in defects)
+    detail = ("int mu - 1 = " + ", ".join(f"{d:+.2e}" for d in defects)
+              + " (field B: exact, rk4 at t=0.5; exact at t=1)")
+    return positive and worst < 1e-6, detail, worst
 
 
 @_gate("flow")

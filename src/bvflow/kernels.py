@@ -224,8 +224,10 @@ class AnisotropicKernel:
     dim: int = 2
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma < math.inf:
-            raise ValueError("gamma must be finite and nonnegative")
+        # (1 + gamma)^2 bounds the coefficient 2 gamma + gamma^2 of |U z|^2;
+        # formed by multiplication, since a float ** raises on overflow
+        if not (self.gamma >= 0.0 and math.isfinite((1.0 + self.gamma) * (1.0 + self.gamma))):
+            raise ValueError("gamma must be nonnegative, with (1 + gamma)^2 finite")
         if self.eta.is_constant and len(self.eta.vector) != self.dim:
             raise ValueError(
                 f"direction vector has dimension {len(self.eta.vector)}, "

@@ -3,13 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from bvflow import catalog
 from bvflow.catalog import (
     FIELD_IDS,
     NoJumpError,
     OnJumpError,
-    TrigPolynomial,
-    distributional_divergence_check,
     get_field,
     surface_quadrature,
     total_jump_mass,
@@ -110,34 +107,6 @@ def test_orthogonality_at_surface_nodes():
             assert np.max(np.abs(jump.level(nodes))) < 1e-12
 
 
-def test_rank_one_structure():
-    for fid in ("C", "D", "E"):
-        for jump in get_field(fid).jumps:
-            m = np.outer(jump.xi, jump.eta)
-            sv = np.linalg.svd(m, compute_uv=False)
-            assert sv[0] == pytest.approx(1.0, abs=1e-14)
-            assert sv[1] == pytest.approx(0.0, abs=1e-14)
-
-
-def test_jacobian_matches_finite_differences():
-    rng = np.random.default_rng(11)
-    h = 1e-6
-    for fid in FIELD_IDS:
-        fld = get_field(fid)
-        pts = rng.random((100, 2))
-        keep = np.ones(100, dtype=bool)
-        for jump in fld.jumps:
-            keep &= np.abs(jump.level(pts)) > 10 * h
-        pts = pts[keep]
-        jac = fld.jacobian_many(pts)
-        for k in range(2):
-            dp, dm = pts.copy(), pts.copy()
-            dp[:, k] += h
-            dm[:, k] -= h
-            fd = (fld.eval_many(dp) - fld.eval_many(dm)) / (2 * h)
-            assert np.max(np.abs(fd - jac[:, :, k])) < 5e-9  # O(h^2)
-
-
 def test_surface_quadrature_examples():
     c = get_field("C")
     total = sum(surface_quadrature(j, lambda xs: 1.0) for j in c.jumps)
@@ -153,31 +122,6 @@ def test_surface_quadrature_examples():
     )
     assert pairing == 0.0
     assert total_jump_mass(get_field("D")) == pytest.approx(4.0 * math.sqrt(5.0))
-
-
-FIVE_TEST_FUNCTIONS = [
-    TrigPolynomial(((1.0, (1, 0), 0.0),)),
-    TrigPolynomial(((0.8, (0, 1), 0.4),)),
-    TrigPolynomial(((0.5, (1, 1), 1.0), (0.3, (2, 0), 0.2))),
-    TrigPolynomial(((0.7, (2, 1), 0.0), (0.2, (0, 3), 2.1))),
-    TrigPolynomial(((0.4, (1, 2), 0.9), (0.6, (3, 1), 0.5))),
-]
-
-
-@pytest.mark.parametrize("fid", FIELD_IDS)
-def test_distributional_divergence_residual(fid):
-    fld = get_field(fid)
-    for phi in FIVE_TEST_FUNCTIONS:
-        residual = distributional_divergence_check(fld, phi, 256)
-        assert abs(residual) < 1e-6
-
-
-def test_distributional_divergence_spec_examples():
-    phi = TrigPolynomial(((1.0, (1, 0), 0.0),))  # cos 2 pi x1
-    assert abs(distributional_divergence_check(get_field("C"), phi, 256)) < 1e-6
-    assert abs(distributional_divergence_check(get_field("B"), phi, 256)) < 1e-6
-    one = TrigPolynomial(((1.0, (0, 0), 0.0),))  # constant 1
-    assert abs(distributional_divergence_check(get_field("E"), one, 256)) < 1e-6
 
 
 def test_volume_quadrature_measures():

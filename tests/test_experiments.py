@@ -279,6 +279,7 @@ REJECTED = (
     ("solver.step = inf", "solver.step"),
     ("functional.dt_fd = nan", "functional.dt_fd"),
     ("functional.gamma = nan", "functional.gamma"),
+    ("functional.gamma = 1e160", "functional.gamma"),
     ("functional.t = nan", "functional.t"),
     ("functional.t = inf", "functional.t"),
     ("kernel.eta_params = nan 0", "kernel.eta_params"),
@@ -375,7 +376,8 @@ def test_check_battery_passes():
         "experiments.fit_rate_exact",
         "functionals.decomposition",
     ]
-    assert [r.name for r in results if not r.passed] == []
+    # a failing gate shows its detail line, the measured value at fault
+    assert [f"{r.name}: {r.detail}" for r in results if not r.passed] == []
 
 
 def test_cli_check_exit_zero():

@@ -1,10 +1,14 @@
-"""Planted faults: each shared gate fails, at its fast size, when the
-package part it checks is broken.  ``bvflow check`` and the acceptance
-criteria call the same gate bodies, so one plant covers both."""
+"""Planted faults: each gate fails, at its fast size, when the package
+part it checks is broken.  ``bvflow check`` and the acceptance criteria
+call the same gate bodies, so one plant covers both."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from bvflow import catalog as cat
+from bvflow import flow
 from bvflow import functionals as fn
 from bvflow import gates, kernels
 from bvflow.kernels import AnisotropicKernel
@@ -47,6 +51,33 @@ def u_inverse_sign_flip(monkeypatch):
     monkeypatch.setattr(AnisotropicKernel, "u_matrix", plant)
 
 
+def a_jacobian_off_by_1e7(monkeypatch):
+    jacobian_many = cat.PiecewiseField.jacobian_many
+
+    def plant(self, points):
+        jac = jacobian_many(self, points)
+        return jac * (1.0 + 1e-7) if self.id == "A" else jac
+
+    monkeypatch.setattr(cat.PiecewiseField, "jacobian_many", plant)
+
+
+def e_jump_sigma_off_by_1e6(monkeypatch):
+    e = cat.get_field("E")
+    first, *rest = e.jumps
+    jumps = (dataclasses.replace(first, sigma=first.sigma * (1.0 + 1e-6)), *rest)
+    monkeypatch.setitem(cat._CATALOG, "E", dataclasses.replace(e, jumps=jumps))
+
+
+def density_off_by_1e5(monkeypatch):
+    density_from_flow = flow.density_from_flow
+
+    def plant(ensemble, t):
+        dens = density_from_flow(ensemble, t)
+        return dataclasses.replace(dens, values=dens.values * (1.0 + 1e-5))
+
+    monkeypatch.setattr(flow, "density_from_flow", plant)
+
+
 @pytest.mark.parametrize(
     "gate, plant",
     [
@@ -54,12 +85,18 @@ def u_inverse_sign_flip(monkeypatch):
         (gates.R_a_identity, r_a_check_without_trace),
         (gates.singular_decay, singular_bound_decays_slower),
         (gates.scalar_product_bounds, u_inverse_sign_flip),
+        (gates.jacobian_finite_difference, a_jacobian_off_by_1e7),
+        (gates.distributional_divergence, e_jump_sigma_off_by_1e6),
+        (gates.density_mass, density_off_by_1e5),
     ],
     ids=[
         "kernels.normalization",
         "functionals.R_a_identity",
         "functionals.singular_decay",
         "kernels.scalar_product_bounds",
+        "fields.jacobian_finite_difference",
+        "fields.distributional_divergence",
+        "flow.density_mass",
     ],
 )
 def test_planted_fault_fails_its_gate(request, monkeypatch, gate, plant):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvflow import catalog
-from bvflow.gates import aligned_gauss_box
+from bvflow.gates import aligned_gauss_box, gauss_box
 from bvflow.kernels import (
     AnisotropicKernel,
     DirectionField,
@@ -133,10 +133,11 @@ def test_change_of_variables_identity():
     g = lambda w: poly_bump.f0(2.0 * np.sum(w * w, axis=1) ** 1.0, 2) + np.exp(
         -np.sum(w * w, axis=1)
     ) * (np.sum(w * w, axis=1) < 1.0)
-    z, wts = aligned_gauss_box(eta, gamma, 300)
+    box = gauss_box(300)
+    z, wts = aligned_gauss_box(eta, gamma, box)
     uz = z + gamma * (z @ eta)[:, None] * eta[None, :]
     lhs = float(np.sum(g(uz) * (1.0 + gamma) * wts))
-    w2, ww = aligned_gauss_box(eta, 0.0, 300)  # the plain box
+    w2, ww = box  # the plain box
     rhs = float(np.sum(g(w2) * ww))
     assert abs(lhs - rhs) < 1e-6
 

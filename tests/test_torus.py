@@ -187,15 +187,6 @@ def test_integrate_reports_nan_node():
     assert err.value.node_index == 5
 
 
-def test_integrate_linear():
-    g = QuadratureGrid.torus(32, 2)
-    f = lambda p: np.sin(2 * np.pi * p[:, 0])
-    h = lambda p: np.cos(2 * np.pi * (p[:, 0] + p[:, 1]))
-    lhs = integrate(lambda p: 2.5 * f(p) - 1.5 * h(p), g)
-    rhs = 2.5 * integrate(f, g) - 1.5 * integrate(h, g)
-    assert abs(lhs - rhs) < 1e-14
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 def test_grid_refinement_spectral(dim):
     f = lambda p: np.exp(np.sin(2 * np.pi * p[:, 0]) + np.cos(2 * np.pi * p[:, -1]))
