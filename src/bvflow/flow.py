@@ -728,9 +728,17 @@ class FlowMap(ABC):
     structure builds its state in ``_grid_state``; by default that is the
     point state of ``grid.points``.  A map with an approximation error
     reports it through ``interpolation_error``.
+
+    ``commutes_with_tangent`` declares that on a strip field the map
+    commutes with translation along the strip tangent e:
+    X(t, x + tau e) = X(t, x) + tau e, with the same log J.  When both
+    maps of a functional declare it, the functionals lay one tangential
+    node on their strip x-grids.  It defaults to False, so a map that
+    does not declare it gets the full x-grid.
     """
 
     _batch = None  # (pts, its point state) while a batch is open
+    commutes_with_tangent = False
 
     @abstractmethod
     def displacement(self, t: float, pts) -> np.ndarray:
@@ -806,7 +814,13 @@ class ExactFlowMap(FlowMap):
     the prep of the q * n0 grid lines x1 = axis0 + shift0, and a query
     evaluates the closed form once per line and repeats it over the
     line's n1 points.
+
+    On a strip field the closed form depends on x through the level
+    s(x) alone, so the map commutes with tangential translation exactly
+    (up to the rounding of s).
     """
+
+    commutes_with_tangent = True
 
     def __init__(self, fld: PiecewiseField):
         if fld.id == "A":
@@ -1043,7 +1057,13 @@ class DirectFlowMap(FlowMap):
     a time's displacement and log J come from one solve.  Outside a batch
     each call solves its one time.  Every time's solution is the same to
     the last bit whichever way it was solved.
+
+    A strip field's RK4 steps and crossings depend on x through the
+    level s(x) alone, so the map commutes with tangential translation up
+    to rounding.
     """
+
+    commutes_with_tangent = True
 
     def __init__(self, fld: PiecewiseField, cfg: FlowSolverConfig | None = None):
         self.field = fld

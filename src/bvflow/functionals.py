@@ -33,6 +33,13 @@ smooth fields; for strip fields the field frame (tangential uniform x
 normal Gauss-Legendre panels) with the panels split both at the jump
 surfaces and at their eps<n, z>-shifted copies, so every x-integrand is
 smooth on every panel and the quadrature carries no jump-boundary error.
+The tangential direction gets n_x uniform nodes, or one node carrying
+the panels' s-weights when every x-integrand is constant along the
+tangent (:func:`_tangent_invariant`: both maps commute with tangential
+translation and, in the pair engine, the kernel direction is constant).
+Then n_x sets nothing, and the s-panels set the accuracy
+(``FunctionalConfig.nodes_per_panel`` = 8 Gauss nodes per panel in the
+pair engine, 24 on the L^1 grid).
 z-nodes sharing the same shift are processed against one x-grid (a
 smooth field has a single group).  A sweep builds every group's x-grid
 first and evaluates the x-only factors (b(x), and per time the first
@@ -125,6 +132,21 @@ class FunctionalConfig:
 # the (x, z) pair quadrature engine
 # ---------------------------------------------------------------------------
 
+def _tangent_invariant(field: PiecewiseField, flows, kernel=None) -> bool:
+    """Whether every x-integrand over ``flows`` is constant along the
+    strip tangent, so a strip x-grid needs one tangential node.
+
+    That holds on a strip field (its pieces are functions of the level
+    s) when every map declares ``commutes_with_tangent`` and, for the
+    pair engine (``kernel`` given), the kernel direction is constant.  A
+    position-dependent direction such as ``mollified_normal`` varies
+    along the tangent, so it does not qualify.
+    """
+    return (field.strip_normal is not None
+            and all(f.commutes_with_tangent for f in flows)
+            and (kernel is None or kernel.eta.is_constant))
+
+
 def _z_shift_groups(field: PiecewiseField, z_pts, eps):
     """Group z-node indices by the level shift eps <n, z> (rounded).
 
@@ -201,8 +223,9 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     need_g2 = bool(asked & {"I2", "I2_ABS"})
 
     groups = _z_shift_groups(field, z_pts, eps)
+    n_x = 1 if _tangent_invariant(field, (flow_x, flow_y), kernel) else cfg.n_x
     grids = [
-        volume_quadrature(field, cfg.n_x, cfg.nodes_per_panel,
+        volume_quadrature(field, n_x, cfg.nodes_per_panel,
                           extra_breakpoints=[b - shift for b in field.strip_bounds])
         for shift, _ in groups
     ]
@@ -656,10 +679,15 @@ def _l1_integrals(flow_x, flow_y, field, times, n_x) -> dict:
     C        max(sup mu1, sup mu2) over the grid
     DIV_SUP  sup |div b| over the grid (the same at every time)
 
-    The grid and div b are built once; repeated times are evaluated once.
+    The grid is :func:`bvflow.catalog.volume_quadrature` at ``n_x``, with
+    one tangential node when the integrands are tangent-invariant
+    (:func:`_tangent_invariant`).  The grid and div b are built once;
+    repeated times are evaluated once.
     The grid is one batch on each map (one on both when they are the same
     map) over all the times, so each map's point state is built once.
     """
+    if _tangent_invariant(field, (flow_x, flow_y)):
+        n_x = 1
     pts, wts = volume_quadrature(field, n_x)
     div = field.divergence_many(pts)
     div_sup = float(np.abs(div).max())

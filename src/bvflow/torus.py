@@ -129,7 +129,7 @@ class Displacement:
         return float(np.linalg.norm(self.as_array()))
 
     def __neg__(self) -> "Displacement":
-        return Displacement(wrap_half(-self.as_array()))
+        return Displacement(_fold_half(-self.as_array()))
 
 
 def wrap(raw) -> TorusPoint:
@@ -141,13 +141,26 @@ def wrap(raw) -> TorusPoint:
     return TorusPoint(raw)
 
 
-def min_image_coords(a, b) -> np.ndarray:
-    """Minimal periodic image of a - b, elementwise in [-1/2, 1/2).
+def _fold_half(x) -> np.ndarray:
+    """x - rint(x), with +1/2 folded to -1/2: the representative of x
+    modulo 1 in [-1/2, 1/2).  x - rint(x) is exact in floating point, so
+    unlike :func:`wrap_half` this never rounds x + 1/2 (which turns
+    1 - 2^-53 into 1.5)."""
+    d = np.array(x, dtype=float)
+    d -= np.rint(d)
+    d[d >= 0.5] -= 1.0
+    return d
 
-    Ties at distance exactly 1/2 resolve to -1/2.  Satisfies
-    ``wrap_coords(b + d) == wrap_coords(a)``.
+
+def min_image_coords(a, b) -> np.ndarray:
+    """Minimal periodic image d of a - b, elementwise in [-1/2, 1/2).
+
+    Ties at distance exactly 1/2 resolve to -1/2.  d is the computed
+    a - b reduced exactly, so b + d equals a modulo 1 up to the rounding
+    of a - b and of b + d (a few ulps of max(|a|, |b|, 1)); it need not
+    equal it bit for bit.
     """
-    return wrap_half(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+    return _fold_half(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
 
 
 def min_image(a: TorusPoint, b: TorusPoint) -> Displacement:

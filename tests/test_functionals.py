@@ -242,9 +242,21 @@ def test_pair_distance_matches_a_hypot_reference(fid):
                                   rel=1e-14, abs=0.0)
 
 
+def strip_group_sizes(fld, kern, cfg, n_tau):
+    """The x-grid size of each z-shift group of a pair sweep on a strip
+    field, with ``n_tau`` tangential nodes."""
+    z_pts, _ = kern.z_quadrature(None, cfg.n_z)
+    return [
+        volume_quadrature(fld, n_tau, cfg.nodes_per_panel,
+                          extra_breakpoints=[b - s for b in fld.strip_bounds])[0].shape[0]
+        for s, _ in fn._z_shift_groups(fld, z_pts, cfg.epsilon)
+    ]
+
+
 def test_pair_sweep_evaluates_the_x_side_in_one_batch():
     # the x-points of every z-shift group form one batch of the first map,
-    # and a constant-direction kernel is evaluated once for all z-nodes
+    # and a constant-direction kernel is evaluated once for all z-nodes;
+    # exact maps and a constant direction take one tangential node
     d = get_field("D")
     batches = []
     kernel_calls = []
@@ -271,12 +283,7 @@ def test_pair_sweep_evaluates_the_x_side_in_one_batch():
     groups = fn._z_shift_groups(d, z_pts, cfg.epsilon)
     assert len(groups) > 1
     assert len(batches) == 1
-    sizes = [
-        volume_quadrature(d, cfg.n_x, cfg.nodes_per_panel,
-                          extra_breakpoints=[b - s for b in d.strip_bounds])[0].shape[0]
-        for s, _ in groups
-    ]
-    assert batches[0] == sum(sizes)
+    assert batches[0] == sum(strip_group_sizes(d, kern, cfg, 1))
 
     # a position-dependent direction is evaluated on a group's x-points,
     # never on x tiled out to one row per (x, z) pair
@@ -294,7 +301,99 @@ def test_pair_sweep_evaluates_the_x_side_in_one_batch():
     kern = AnisotropicKernel(poly_bump, RecordingDirection.mollified_normal(d, 0.3), 3.0)
     fn.pair_integrals_multi(ExactFlowMap(d), ExactFlowMap(d), d, kern, cfg, [0.3],
                             ("D", "I1", "I2"))
-    assert eta_rows and max(eta_rows) <= max(sizes)
+    assert eta_rows and max(eta_rows) <= max(strip_group_sizes(d, kern, cfg, cfg.n_x))
+
+
+class Lagged(ExactFlowMap):
+    """The exact map read 0.05 later: it commutes with tangential
+    translation, and it differs from the flow, so L is not zero."""
+
+    def displacement(self, t, pts):
+        return super().displacement(t + 0.05, pts)
+
+    def log_jacobian(self, t, pts):
+        return super().log_jacobian(t + 0.05, pts)
+
+
+STRIP_PAIR_KEYS = ("D", "I1", "I2", "MASS", "I1_ABS", "I2_ABS")
+
+
+@pytest.mark.parametrize("gamma", [0.0, 10.0])
+@pytest.mark.parametrize("fid", ["C", "D", "E"])
+def test_one_tangential_node_matches_the_full_strip_grid(fid, gamma):
+    # with a constant direction and maps that commute with tangential
+    # translation every x-integrand is a function of the level s, so one
+    # tau-node gives the full grid's values; a map without
+    # commutes_with_tangent (FlatBatches) gets the full grid
+    fld = get_field(fid)
+    kern = AnisotropicKernel(poly_bump, DirectionField.constant(fld.strip_normal), gamma)
+    cfg = fn.FunctionalConfig(epsilon=0.1, n_x=12, n_z=12)
+    times = [0.2, 0.3]
+    fx, fy = Lagged(fld), ExactFlowMap(fld)
+    got = fn.pair_integrals_multi(fx, fy, fld, kern, cfg, times, STRIP_PAIR_KEYS)
+    full = fn.pair_integrals_multi(fx, FlatBatches(fy), fld, kern, cfg, times,
+                                   STRIP_PAIR_KEYS)
+    for t in times:
+        for key in STRIP_PAIR_KEYS:
+            assert got[t][key] == pytest.approx(full[t][key], rel=1e-13, abs=0.0), (t, key)
+
+
+@pytest.mark.parametrize("fid", ["C", "D", "E"])
+def test_one_tangential_node_matches_the_full_l1_grid(fid):
+    fld = get_field(fid)
+    # E's flow sticks at its compressive interface, which rk4_event refuses
+    solver = FlowSolverConfig(step=1e-2,
+                              method="explicit_exact" if fid == "E" else "rk4_event")
+    times = [0.2, 0.3, 0.4]
+    got = fn._l1_integrals(Lagged(fld), DirectFlowMap(fld, solver), fld, times, 16)
+    full = fn._l1_integrals(Lagged(fld), FlatBatches(DirectFlowMap(fld, solver)), fld,
+                            times, 16)
+    for t in times:
+        assert got[t]["L"] > 1e-3
+        for key in ("L", "DIV", "C"):
+            assert got[t][key] == pytest.approx(full[t][key], rel=1e-13, abs=0.0), (t, key)
+
+
+def first_batch_size(monkeypatch, run):
+    """The point count of the first flow-map batch that ``run()`` opens."""
+    sizes = []
+    begin = flow.FlowMap.begin_batch
+
+    def recording(self, pts, times=()):
+        sizes.append(np.shape(getattr(pts, "points", pts))[0])
+        begin(self, pts, times)
+
+    with monkeypatch.context() as m:
+        m.setattr(flow.FlowMap, "begin_batch", recording)
+        run()
+    return sizes[0]
+
+
+def test_tangent_dependent_cases_keep_the_full_x_grid(monkeypatch):
+    # a direction that varies along the tangent, or a map that does not
+    # declare commutes_with_tangent, keeps n_x tau-nodes per s-node
+    d = get_field("D")
+    cfg = fn.FunctionalConfig(epsilon=0.05, n_x=10, n_z=10)
+    constant = AnisotropicKernel(poly_bump, DirectionField.constant(d.strip_normal), 3.0)
+    mollified = AnisotropicKernel(poly_bump, DirectionField.mollified_normal(d, 0.3), 3.0)
+    exact, plain = ExactFlowMap(d), FlatBatches(ExactFlowMap(d))
+
+    def pair_batch(fx, fy, kern):
+        return first_batch_size(monkeypatch, lambda: fn.pair_integrals_multi(
+            fx, fy, d, kern, cfg, [0.3], ("D",)))
+
+    def l1_batch(fx, fy):
+        return first_batch_size(monkeypatch, lambda: fn._l1_integrals(
+            fx, fy, d, [0.3], cfg.n_x))
+
+    one = sum(strip_group_sizes(d, constant, cfg, 1))
+    assert pair_batch(exact, exact, constant) == one
+    assert pair_batch(exact, exact, mollified) == cfg.n_x * one
+    assert pair_batch(exact, plain, constant) == cfg.n_x * one
+    assert pair_batch(plain, exact, constant) == cfg.n_x * one
+    s_nodes = volume_quadrature(d, 1)[0].shape[0]
+    assert l1_batch(exact, exact) == s_nodes
+    assert l1_batch(exact, plain) == l1_batch(plain, exact) == cfg.n_x * s_nodes
 
 
 def test_functional_config_validation():

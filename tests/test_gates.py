@@ -12,6 +12,13 @@ from bvflow import flow
 from bvflow import functionals as fn
 from bvflow import gates, kernels
 from bvflow.kernels import AnisotropicKernel
+from bvflow.torus import wrap_coords
+
+
+def min_image_without_half_shift(monkeypatch):
+    # a - b reduced into [0, 1) rather than [-1/2, 1/2)
+    monkeypatch.setattr(gates, "min_image_coords",
+                        lambda a, b: wrap_coords(np.asarray(a) - np.asarray(b)))
 
 
 def normalization_off_by_1e5(monkeypatch):
@@ -81,6 +88,7 @@ def density_off_by_1e5(monkeypatch):
 @pytest.mark.parametrize(
     "gate, plant",
     [
+        (gates.min_image_antisymmetry, min_image_without_half_shift),
         (gates.normalization, normalization_off_by_1e5),
         (gates.R_a_identity, r_a_check_without_trace),
         (gates.singular_decay, singular_bound_decays_slower),
@@ -90,6 +98,7 @@ def density_off_by_1e5(monkeypatch):
         (gates.density_mass, density_off_by_1e5),
     ],
     ids=[
+        "torus.min_image_antisymmetry",
         "kernels.normalization",
         "functionals.R_a_identity",
         "functionals.singular_decay",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bvflow.torus import (
@@ -114,6 +114,7 @@ def test_min_image_examples():
 
 
 @given(finite_coords, finite_coords)
+@example(a_raw=[0.0, -1.5831197581008165e-16], b_raw=[0.0, 0.0])  # a wraps to 1 - 2^-53
 def test_min_image_reconstructs(a_raw, b_raw):
     if len(a_raw) != len(b_raw):
         return
