@@ -729,16 +729,13 @@ class FlowMap(ABC):
     point state of ``grid.points``.  A map with an approximation error
     reports it through ``interpolation_error``.
 
-    ``commutes_with_tangent`` declares that on a strip field the map
-    commutes with translation along the strip tangent e:
-    X(t, x + tau e) = X(t, x) + tau e, with the same log J.  When both
-    maps of a functional declare it, the functionals lay one tangential
-    node on their strip x-grids.  It defaults to False, so a map that
-    does not declare it gets the full x-grid.
+    A map of a strip field must commute with translation along the strip
+    tangent e: X(t, x + tau e) = X(t, x) + tau e, with the same log J.
+    The functionals rely on it and lay one tangential node on their strip
+    x-grids (:func:`bvflow.functionals._tangent_invariant`).
     """
 
     _batch = None  # (pts, its point state) while a batch is open
-    commutes_with_tangent = False
 
     @abstractmethod
     def displacement(self, t: float, pts) -> np.ndarray:
@@ -819,8 +816,6 @@ class ExactFlowMap(FlowMap):
     s(x) alone, so the map commutes with tangential translation exactly
     (up to the rounding of s).
     """
-
-    commutes_with_tangent = True
 
     def __init__(self, fld: PiecewiseField):
         if fld.id == "A":
@@ -1062,8 +1057,6 @@ class DirectFlowMap(FlowMap):
     level s(x) alone, so the map commutes with tangential translation up
     to rounding.
     """
-
-    commutes_with_tangent = True
 
     def __init__(self, fld: PiecewiseField, cfg: FlowSolverConfig | None = None):
         self.field = fld

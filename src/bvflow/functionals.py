@@ -35,8 +35,9 @@ surfaces and at their eps<n, z>-shifted copies, so every x-integrand is
 smooth on every panel and the quadrature carries no jump-boundary error.
 The tangential direction gets n_x uniform nodes, or one node carrying
 the panels' s-weights when every x-integrand is constant along the
-tangent (:func:`_tangent_invariant`: both maps commute with tangential
-translation and, in the pair engine, the kernel direction is constant).
+tangent (:func:`_tangent_invariant`: a strip field's maps commute with
+tangential translation, and in the pair engine the kernel direction
+must be constant).
 Then n_x sets nothing, and the s-panels set the accuracy
 (``FunctionalConfig.nodes_per_panel`` = 8 Gauss nodes per panel in the
 pair engine, 24 on the L^1 grid).
@@ -132,18 +133,19 @@ class FunctionalConfig:
 # the (x, z) pair quadrature engine
 # ---------------------------------------------------------------------------
 
-def _tangent_invariant(field: PiecewiseField, flows, kernel=None) -> bool:
-    """Whether every x-integrand over ``flows`` is constant along the
-    strip tangent, so a strip x-grid needs one tangential node.
+def _tangent_invariant(field: PiecewiseField, kernel=None) -> bool:
+    """Whether every x-integrand is constant along the strip tangent, so
+    a strip x-grid needs one tangential node.
 
-    That holds on a strip field (its pieces are functions of the level
-    s) when every map declares ``commutes_with_tangent`` and, for the
-    pair engine (``kernel`` given), the kernel direction is constant.  A
-    position-dependent direction such as ``mollified_normal`` varies
-    along the tangent, so it does not qualify.
+    That holds on a strip field: its pieces are functions of the level
+    s, and its flow maps commute with tangential translation (the
+    :class:`bvflow.flow.FlowMap` contract; exactly for the closed form,
+    up to rounding for RK4).  For the pair engine (``kernel`` given) the
+    kernel direction must also be constant.  A position-dependent
+    direction such as ``mollified_normal`` varies along the tangent, so
+    it does not qualify.
     """
     return (field.strip_normal is not None
-            and all(f.commutes_with_tangent for f in flows)
             and (kernel is None or kernel.eta.is_constant))
 
 
@@ -223,7 +225,7 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     need_g2 = bool(asked & {"I2", "I2_ABS"})
 
     groups = _z_shift_groups(field, z_pts, eps)
-    n_x = 1 if _tangent_invariant(field, (flow_x, flow_y), kernel) else cfg.n_x
+    n_x = 1 if _tangent_invariant(field, kernel) else cfg.n_x
     grids = [
         volume_quadrature(field, n_x, cfg.nodes_per_panel,
                           extra_breakpoints=[b - shift for b in field.strip_bounds])
@@ -686,7 +688,7 @@ def _l1_integrals(flow_x, flow_y, field, times, n_x) -> dict:
     The grid is one batch on each map (one on both when they are the same
     map) over all the times, so each map's point state is built once.
     """
-    if _tangent_invariant(field, (flow_x, flow_y)):
+    if _tangent_invariant(field):
         n_x = 1
     pts, wts = volume_quadrature(field, n_x)
     div = field.divergence_many(pts)

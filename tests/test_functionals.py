@@ -208,14 +208,17 @@ def test_shifted_grid_sweep_matches_the_flat_sweep(fid, eta_kind):
     assert flat.grids == 2
 
 
-def hypot_reference_D(fm_x, fm_y, fld, kern, cfg, t):
-    """D(t) over the engine's own grids, as whole arrays and with the
-    distance from np.hypot."""
+def reference_pair_sums(fm_x, fm_y, fld, kern, cfg, t, n_x):
+    """D, MASS, I2 and I2_ABS at t for a constant-direction kernel, over
+    the engine's z-groups with x-grids from volume_quadrature at ``n_x``
+    (on a strip field, the number of tangential nodes), as whole arrays
+    and with the distance from np.hypot."""
     eps = cfg.epsilon
     z_pts, z_wts = kern.z_quadrature(None, cfg.n_z, rule="midpoint")
-    total = 0.0
+    rho, d2 = kern.rho(None, z_pts), kern.d2_rho(None, z_pts)
+    sums = dict.fromkeys(("D", "MASS", "I2", "I2_ABS"), 0.0)
     for shift, idx in fn._z_shift_groups(fld, z_pts, eps):
-        x_pts, x_wts = volume_quadrature(fld, cfg.n_x, cfg.nodes_per_panel,
+        x_pts, x_wts = volume_quadrature(fld, n_x, cfg.nodes_per_panel,
                                          extra_breakpoints=[b - shift for b in fld.strip_bounds])
         ez = eps * z_pts[idx]
         y_pts = (x_pts[None, :, :] + ez[:, None, :]).reshape(-1, 2)
@@ -223,10 +226,15 @@ def hypot_reference_D(fm_x, fm_y, fld, kern, cfg, t):
                - fm_y.displacement(t, y_pts).reshape(idx.size, -1, 2))
         sep -= np.rint(sep)
         dist = np.hypot(sep[..., 0], sep[..., 1])
-        weight = (kern.rho(None, z_pts[idx]) * z_wts[idx])[:, None] * (
-            x_wts * fm_x.density(t, x_pts))[None, :] * fm_y.density(t, y_pts).reshape(dist.shape)
-        total += float(np.sum(dist * weight))
-    return total
+        quot = (fld.eval_many(y_pts).reshape(idx.size, -1, 2) - fld.eval_many(x_pts)) / eps
+        g2 = -np.einsum("qk,qpk->qp", d2[idx], quot)
+        weight = z_wts[idx][:, None] * (x_wts * fm_x.density(t, x_pts))[None, :] \
+            * fm_y.density(t, y_pts).reshape(dist.shape)
+        sums["D"] += float(np.sum(dist * rho[idx][:, None] * weight))
+        sums["MASS"] += float(np.sum(rho[idx][:, None] * weight))
+        sums["I2"] += float(np.sum(dist * g2 * weight))
+        sums["I2_ABS"] += float(np.sum(np.abs(g2) * weight))
+    return sums
 
 
 @pytest.mark.parametrize("fid", ["B", "D"])
@@ -236,9 +244,10 @@ def test_pair_distance_matches_a_hypot_reference(fid):
     fld, fm, kern = _pair_case(fid, "constant")
     shifted = ShiftedMap(fm, (0.3, -0.2))
     cfg = fn.FunctionalConfig(epsilon=0.05, n_x=12, n_z=12)
+    n_x = 1 if fn._tangent_invariant(fld, kern) else cfg.n_x
     for fm_y in (fm, shifted):
         d = fn.discrepancy_D(fm, fm_y, fld, kern, cfg, 0.3)
-        assert d == pytest.approx(hypot_reference_D(fm, fm_y, fld, kern, cfg, 0.3),
+        assert d == pytest.approx(reference_pair_sums(fm, fm_y, fld, kern, cfg, 0.3, n_x)["D"],
                                   rel=1e-14, abs=0.0)
 
 
@@ -315,27 +324,24 @@ class Lagged(ExactFlowMap):
         return super().log_jacobian(t + 0.05, pts)
 
 
-STRIP_PAIR_KEYS = ("D", "I1", "I2", "MASS", "I1_ABS", "I2_ABS")
-
-
 @pytest.mark.parametrize("gamma", [0.0, 10.0])
 @pytest.mark.parametrize("fid", ["C", "D", "E"])
 def test_one_tangential_node_matches_the_full_strip_grid(fid, gamma):
-    # with a constant direction and maps that commute with tangential
-    # translation every x-integrand is a function of the level s, so one
-    # tau-node gives the full grid's values; a map without
-    # commutes_with_tangent (FlatBatches) gets the full grid
+    # with a constant direction every x-integrand is a function of the
+    # level s, so the engine's one tau-node gives the values of the full
+    # grid at n_x tau-nodes; I1 vanishes for a constant direction
     fld = get_field(fid)
     kern = AnisotropicKernel(poly_bump, DirectionField.constant(fld.strip_normal), gamma)
     cfg = fn.FunctionalConfig(epsilon=0.1, n_x=12, n_z=12)
     times = [0.2, 0.3]
     fx, fy = Lagged(fld), ExactFlowMap(fld)
-    got = fn.pair_integrals_multi(fx, fy, fld, kern, cfg, times, STRIP_PAIR_KEYS)
-    full = fn.pair_integrals_multi(fx, FlatBatches(fy), fld, kern, cfg, times,
-                                   STRIP_PAIR_KEYS)
+    got = fn.pair_integrals_multi(fx, fy, fld, kern, cfg, times,
+                                  ("D", "I1", "I2", "MASS", "I1_ABS", "I2_ABS"))
     for t in times:
-        for key in STRIP_PAIR_KEYS:
-            assert got[t][key] == pytest.approx(full[t][key], rel=1e-13, abs=0.0), (t, key)
+        full = reference_pair_sums(fx, fy, fld, kern, cfg, t, cfg.n_x)
+        for key, value in full.items():
+            assert got[t][key] == pytest.approx(value, rel=1e-13, abs=0.0), (t, key)
+        assert got[t]["I1"] == got[t]["I1_ABS"] == 0.0
 
 
 @pytest.mark.parametrize("fid", ["C", "D", "E"])
@@ -344,14 +350,19 @@ def test_one_tangential_node_matches_the_full_l1_grid(fid):
     # E's flow sticks at its compressive interface, which rk4_event refuses
     solver = FlowSolverConfig(step=1e-2,
                               method="explicit_exact" if fid == "E" else "rk4_event")
+    fx, fy = Lagged(fld), DirectFlowMap(fld, solver)
     times = [0.2, 0.3, 0.4]
-    got = fn._l1_integrals(Lagged(fld), DirectFlowMap(fld, solver), fld, times, 16)
-    full = fn._l1_integrals(Lagged(fld), FlatBatches(DirectFlowMap(fld, solver)), fld,
-                            times, 16)
+    got = fn._l1_integrals(fx, fy, fld, times, 16)
+    pts, wts = volume_quadrature(fld, 16)
+    div = fld.divergence_many(pts)
     for t in times:
+        dist = torus_distance(fx.position(t, pts), fy.position(t, pts))
+        mu1, mu2 = fx.density(t, pts), fy.density(t, pts)
+        full = {"L": np.sum(dist * mu1 * mu2 * wts), "DIV": np.sum(dist * div * mu1 * mu2 * wts),
+                "C": max(mu1.max(), mu2.max())}
         assert got[t]["L"] > 1e-3
-        for key in ("L", "DIV", "C"):
-            assert got[t][key] == pytest.approx(full[t][key], rel=1e-13, abs=0.0), (t, key)
+        for key, value in full.items():
+            assert got[t][key] == pytest.approx(value, rel=1e-13, abs=0.0), (t, key)
 
 
 def first_batch_size(monkeypatch, run):
@@ -369,31 +380,25 @@ def first_batch_size(monkeypatch, run):
     return sizes[0]
 
 
-def test_tangent_dependent_cases_keep_the_full_x_grid(monkeypatch):
-    # a direction that varies along the tangent, or a map that does not
-    # declare commutes_with_tangent, keeps n_x tau-nodes per s-node
+def test_a_mollified_direction_keeps_the_full_x_grid(monkeypatch):
+    # a direction that varies along the tangent keeps n_x tau-nodes per
+    # s-node in the pair engine; the L^1 grid has no kernel and takes one
     d = get_field("D")
     cfg = fn.FunctionalConfig(epsilon=0.05, n_x=10, n_z=10)
     constant = AnisotropicKernel(poly_bump, DirectionField.constant(d.strip_normal), 3.0)
     mollified = AnisotropicKernel(poly_bump, DirectionField.mollified_normal(d, 0.3), 3.0)
-    exact, plain = ExactFlowMap(d), FlatBatches(ExactFlowMap(d))
+    exact = ExactFlowMap(d)
 
-    def pair_batch(fx, fy, kern):
+    def pair_batch(kern):
         return first_batch_size(monkeypatch, lambda: fn.pair_integrals_multi(
-            fx, fy, d, kern, cfg, [0.3], ("D",)))
-
-    def l1_batch(fx, fy):
-        return first_batch_size(monkeypatch, lambda: fn._l1_integrals(
-            fx, fy, d, [0.3], cfg.n_x))
+            exact, exact, d, kern, cfg, [0.3], ("D",)))
 
     one = sum(strip_group_sizes(d, constant, cfg, 1))
-    assert pair_batch(exact, exact, constant) == one
-    assert pair_batch(exact, exact, mollified) == cfg.n_x * one
-    assert pair_batch(exact, plain, constant) == cfg.n_x * one
-    assert pair_batch(plain, exact, constant) == cfg.n_x * one
-    s_nodes = volume_quadrature(d, 1)[0].shape[0]
-    assert l1_batch(exact, exact) == s_nodes
-    assert l1_batch(exact, plain) == l1_batch(plain, exact) == cfg.n_x * s_nodes
+    assert pair_batch(constant) == one
+    assert pair_batch(mollified) == cfg.n_x * one
+    l1_batch = first_batch_size(monkeypatch, lambda: fn._l1_integrals(
+        exact, exact, d, [0.3], cfg.n_x))
+    assert l1_batch == volume_quadrature(d, 1)[0].shape[0]
 
 
 def test_functional_config_validation():
