@@ -18,7 +18,7 @@ functionals  the discrepancy functional, its decomposition, bounds
 experiments  scenario runner, rate fits, the check battery's entry point
 gates        one function per checked invariant, shared by ``bvflow check``
              and the acceptance criteria
-cli          command line front end (catalog / run / sweep / check / fit)
+cli          command line front end (catalog / run / check / fit)
 
 Submodules load on first access (PEP 562), so importing the package,
 or ``bvflow.cli``, loads no numpy: the CLI caps the thread pools of the

@@ -57,6 +57,7 @@ __all__ = [
     "strip_s_quadrature",
     "strip_points",
     "volume_quadrature",
+    "shifted_strip_quadrature",
     "distributional_divergence_check",
     "TrigPolynomial",
 ]
@@ -483,6 +484,23 @@ def strip_frame(field: PiecewiseField):
     return n, norm, np.array([-n[1], n[0]]) / norm
 
 
+def _panel_rule(cuts, nodes_per_panel: int):
+    """Gauss-Legendre nodes and weights on the panels between consecutive
+    cuts.
+
+    ``cuts`` (..., K) are sorted values in [0, 1); the last panel runs
+    from the last cut to the first plus 1.  Returns (nodes, weights), each
+    (..., K, nodes_per_panel).  A panel narrower than 1e-15 (two cuts that
+    coincide) gets weight exactly zero and its nodes stay finite.
+    """
+    gl_x, gl_w = gauss_legendre(nodes_per_panel)
+    lo = np.asarray(cuts, dtype=float)
+    hi = np.concatenate([lo[..., 1:], lo[..., :1] + 1.0], axis=-1)
+    mid = 0.5 * (lo + hi)
+    half = np.where(hi - lo < 1e-15, 0.0, 0.5 * (hi - lo))
+    return mid[..., None] + half[..., None] * gl_x, half[..., None] * gl_w
+
+
 def strip_s_quadrature(field: PiecewiseField, extra_breakpoints=(), nodes_per_panel: int = 24):
     """Gauss-Legendre panels in the level coordinate s over one period.
 
@@ -491,18 +509,11 @@ def strip_s_quadrature(field: PiecewiseField, extra_breakpoints=(), nodes_per_pa
     integrated without boundary error.  Returns (s_nodes, s_weights)
     with the weights summing to 1.
     """
-    gl_x, gl_w = gauss_legendre(nodes_per_panel)
     cuts = sorted({float(b) % 1.0 for b in field.strip_bounds}
                   | {float(b) % 1.0 for b in extra_breakpoints})
-    bounds = cuts + [cuts[0] + 1.0]
-    s_nodes, s_wts = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo < 1e-15:
-            continue
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        s_nodes.append(mid + half * gl_x)
-        s_wts.append(half * gl_w)
-    return np.concatenate(s_nodes), np.concatenate(s_wts)
+    s_nodes, s_wts = _panel_rule(cuts, nodes_per_panel)
+    keep = s_wts[:, 0] > 0.0  # drop the panels of nearly coincident cuts
+    return s_nodes[keep].ravel(), s_wts[keep].ravel()
 
 
 def strip_points(field: PiecewiseField, s_nodes, tau_nodes):
@@ -519,6 +530,17 @@ def strip_points(field: PiecewiseField, s_nodes, tau_nodes):
     return wrap_coords(pts)
 
 
+def _strip_grid(field: PiecewiseField, s_nodes, s_wts, n: int):
+    """The s-rule (..., S) crossed with n uniform tangential nodes:
+    (points (..., S n, 2), weights (..., S n)), s-major."""
+    _, norm, _ = strip_frame(field)
+    tau = (np.arange(n) + 0.5) * (norm / n)
+    lead = s_nodes.shape[:-1]
+    pts = strip_points(field, s_nodes.reshape(-1), tau).reshape(*lead, -1, 2)
+    wts = np.broadcast_to(s_wts[..., None] / n, s_wts.shape + (n,)).reshape(*lead, -1)
+    return pts, wts
+
+
 def volume_quadrature(field: PiecewiseField, n: int, nodes_per_panel: int = 24,
                       extra_breakpoints=()):
     """Quadrature (points (M, 2), weights (M,)) adapted to the field.
@@ -531,12 +553,31 @@ def volume_quadrature(field: PiecewiseField, n: int, nodes_per_panel: int = 24,
     if field.strip_normal is None:
         pts = QuadratureGrid.torus(n).nodes
         return pts, np.full(pts.shape[0], 1.0 / n**2)
-    _, norm, _ = strip_frame(field)
     s_nodes, s_wts = strip_s_quadrature(field, extra_breakpoints, nodes_per_panel)
-    tau = (np.arange(n) + 0.5) * (norm / n)
-    pts = strip_points(field, s_nodes, tau).reshape(-1, 2)
-    wts = np.broadcast_to(s_wts[:, None] / n, (s_nodes.size, n)).reshape(-1)
-    return pts, wts
+    return _strip_grid(field, s_nodes, s_wts, n)
+
+
+def shifted_strip_quadrature(field: PiecewiseField, shifts, n: int,
+                             nodes_per_panel: int = 24):
+    """One strip x-grid per level shift, stacked: (points (G, P, 2),
+    weights (G, P)) for G shifts.
+
+    Row g is the grid :func:`volume_quadrature` lays with
+    ``extra_breakpoints`` at the strip bounds minus ``shifts[g]``, so an
+    integrand that jumps where s or s + shifts[g] crosses a bound is
+    smooth on every panel.  Every row has two cuts per bound and so the
+    same P = 2 len(bounds) nodes_per_panel n points.  Where two cuts
+    coincide (shift 0, for one) ``volume_quadrature`` drops the panel
+    between them; here it has zero width, weight exactly zero and finite
+    nodes.
+    """
+    bounds = np.asarray(field.strip_bounds, dtype=float)
+    shifts = np.asarray(shifts, dtype=float)
+    cuts = np.concatenate([np.broadcast_to(bounds, (shifts.size, bounds.size)),
+                           bounds[None, :] - shifts[:, None]], axis=1)
+    s_nodes, s_wts = _panel_rule(np.sort(np.mod(cuts, 1.0), axis=1), nodes_per_panel)
+    return _strip_grid(field, s_nodes.reshape(shifts.size, -1),
+                       s_wts.reshape(shifts.size, -1), n)
 
 
 def distributional_divergence_check(

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: ``catalog``, ``run <config>``, ``sweep <config>``,
-``check [--fast|--full]``, ``fit <csv> <ycol> <xcol>``.
+Subcommands: ``catalog``, ``run <config>``, ``check [--fast|--full]``,
+``fit <csv> <ycol> <xcol>``.  ``run`` executes every scenario file,
+multi-gamma and multi-epsilon ones included.
 
 Exit codes: 0 success, 1 failed checks, 2 configuration or validation
 errors, 3 numerical failures (NaN in a quadrature, non-transversal
@@ -69,12 +70,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    # same engine as run; sweep is the conventional entry point for
-    # multi-gamma / multi-epsilon scenario files
-    return _cmd_run(args)
-
-
 def _cmd_check(args) -> int:
     from . import experiments as exp
 
@@ -128,8 +123,6 @@ def main(argv=None) -> int:
     sub.add_parser("catalog", help="list catalog fields and their jump data")
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("config")
-    p_sweep = sub.add_parser("sweep", help="execute a sweep scenario file")
-    p_sweep.add_argument("config")
     p_check = sub.add_parser("check", help="run the invariant battery")
     mode = p_check.add_mutually_exclusive_group()
     mode.add_argument("--fast", action="store_true", default=True)
@@ -149,7 +142,6 @@ def main(argv=None) -> int:
     handlers = {
         "catalog": _cmd_catalog,
         "run": _cmd_run,
-        "sweep": _cmd_sweep,
         "check": _cmd_check,
         "fit": _cmd_fit,
     }

@@ -28,11 +28,12 @@ that contribution is :func:`singular_bound`, which decays like
 Quadrature layout.  z-integrals always run over the image of a tensor
 grid on the unit box under U^{-1} (the w = U z substitution), so the
 squeezed support stays resolved at any gamma.  Every x-grid comes from
-:func:`bvflow.catalog.volume_quadrature`: the uniform torus grid for
-smooth fields; for strip fields the field frame (tangential uniform x
-normal Gauss-Legendre panels) with the panels split both at the jump
-surfaces and at their eps<n, z>-shifted copies, so every x-integrand is
-smooth on every panel and the quadrature carries no jump-boundary error.
+:mod:`bvflow.catalog`: the uniform torus grid for smooth fields; for
+strip fields the field frame (tangential uniform x normal
+Gauss-Legendre panels) with the panels split both at the jump surfaces
+and, in the pair engine, at their eps<n, z>-shifted copies, so every
+x-integrand is smooth on every panel and the quadrature carries no
+jump-boundary error.
 The tangential direction gets n_x uniform nodes, or one node carrying
 the panels' s-weights when every x-integrand is constant along the
 tangent (:func:`_tangent_invariant`: a strip field's maps commute with
@@ -41,21 +42,22 @@ must be constant).
 Then n_x sets nothing, and the s-panels set the accuracy
 (``FunctionalConfig.nodes_per_panel`` = 8 Gauss nodes per panel in the
 pair engine, 24 on the L^1 grid).
-z-nodes sharing the same shift are processed against one x-grid (a
-smooth field has a single group).  A sweep builds every group's x-grid
-first and evaluates the x-only factors (b(x), and per time the first
-flow's displacement and the x-weight times its density) for all of them
-in one batch of the first flow; with a constant kernel direction rho and
-d2 rho are evaluated once for all z-nodes.  With a position-dependent
-direction each chunk evaluates the kernel factors its keys need (rho,
-d2 rho, d1 rho) as (q, P) planes of its P x-points against its q
-z-nodes, so eta and D eta are evaluated once per x-point of the chunk.
-A group is swept in z-chunks of at most :data:`PAIR_CHUNK` (x, z) pairs,
-which bounds the pair arrays and the second flow's per-batch state.  A chunk's y-points are one batch
-of the second flow over all the sweep's times; on a smooth field they
-are the uniform x-grid shifted by each eps z, passed as a
-:class:`bvflow.flow.ShiftedGrid`.  The spline map's state is then 3 K
-values per pair for K times, and it builds its tap-weight matrices
+The pair engine stacks its x-grids as one (G, P) array with a row per
+z-shift group (:func:`bvflow.catalog.shifted_strip_quadrature`; a
+smooth field has the one row of the torus grid).  A sweep evaluates the
+x-only factors of the whole stack in one batch of the first flow: b(x),
+and per time the displacement and the x-weight times the density; with
+a position-dependent kernel direction also eta and D eta, once per
+stacked x-point; with a constant direction rho and d2 rho are evaluated
+once for all z-nodes.  The z-nodes are swept in chunks of at most
+:data:`PAIR_CHUNK` (x, z) pairs, which bounds the pair arrays and the
+second flow's per-batch state; a chunk may span groups, and each of its
+z-nodes gathers its group's row of the x-side arrays into (q, P)
+planes, while a single row is broadcast as (1, P).  A chunk's y-points
+are one batch of the second flow over all the sweep's times; on a
+smooth field they are the uniform x-grid shifted by each eps z, passed
+as a :class:`bvflow.flow.ShiftedGrid`.  The spline map's state is then
+3 K values per pair for K times, and it builds its tap-weight matrices
 :data:`bvflow.flow.SPLINE_ROW_BLOCK` points at a time, so at most one
 block's matrix is alive.  Gauss-Legendre rules come from
 :func:`bvflow.torus.gauss_legendre`, built once per order.
@@ -149,20 +151,6 @@ def _tangent_invariant(field: PiecewiseField, kernel=None) -> bool:
             and (kernel is None or kernel.eta.is_constant))
 
 
-def _z_shift_groups(field: PiecewiseField, z_pts, eps):
-    """Group z-node indices by the level shift eps <n, z> (rounded).
-
-    A smooth field has no level coordinate: one group holds every z.
-    """
-    if field.strip_normal is None:
-        return [(0.0, np.arange(z_pts.shape[0]))]
-    n = np.asarray(field.strip_normal, dtype=float)
-    shifts = eps * (z_pts @ n)
-    keys = np.round(shifts, 13)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    return [(float(uniq[g]), np.nonzero(inverse == g)[0]) for g in range(uniq.size)]
-
-
 def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
                          kernel: AnisotropicKernel, cfg: FunctionalConfig,
                          times, want=("D",)) -> dict:
@@ -187,18 +175,22 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     MASS    int int rho mu1 mu2 (used in error propagation)
     I1_ABS / I2_ABS   same integrands against |integrand| (error budget)
 
-    The sweep builds the x-grid of every z-shift group first and
-    evaluates the x-only factors of all of them in one batch of
-    ``flow_x`` over all the times; with a constant kernel direction rho
-    and d2 rho are evaluated once for all z-nodes.  Each group is then
-    swept in z-chunks of at most :data:`PAIR_CHUNK` pairs, and each
-    chunk's y-points are one batch of ``flow_y`` over all the times; on a
-    smooth field that batch is a :class:`bvflow.flow.ShiftedGrid`, the
-    torus x-grid's axes with the chunk's eps z as shifts.  With a
-    position-dependent direction a chunk passes its P x-points and its q
-    z-nodes to the kernel, which broadcasts them to (q, P) planes of the
-    factors the asked keys need (rho, d2 rho, d1 rho) and evaluates eta
-    and D eta once per x-point.
+    The x-grids form one (G, P) stack, one row per z-shift group: the
+    torus grid as a single row on a smooth field, and on a strip field
+    one row per level shift eps <n, z> from
+    :func:`bvflow.catalog.shifted_strip_quadrature`.  The sweep evaluates
+    the x-only factors of the whole stack in one batch of ``flow_x`` over
+    all the times: b(x), and per time the displacement and the x-weight
+    times mu1; with a position-dependent direction also eta and D eta,
+    so each is evaluated once per stacked x-point; with a constant
+    direction rho and d2 rho are evaluated once for all z-nodes.  The
+    z-nodes are then swept in chunks of at most :data:`PAIR_CHUNK` pairs,
+    which may span groups: each z-node gathers its group's row of every
+    x-side array, so a chunk's planes are (q, P).  A single row is
+    broadcast as (1, P) instead.  Each chunk's y-points are one batch of
+    ``flow_y`` over all the times; on a smooth field that batch is a
+    :class:`bvflow.flow.ShiftedGrid`, the torus x-grid's axes with the
+    chunk's eps z as shifts.
     Within a chunk every two-component quantity (the minimal-image
     separation, the b-difference quotient, d2 rho) is handled as one
     contiguous (q, P) plane per component, and the distance is the square
@@ -224,40 +216,51 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     need_g1 = not kernel.eta.is_constant and bool(asked & {"I1", "I1_ABS"})
     need_g2 = bool(asked & {"I2", "I2_ABS"})
 
-    groups = _z_shift_groups(field, z_pts, eps)
-    n_x = 1 if _tangent_invariant(field, kernel) else cfg.n_x
-    grids = [
-        volume_quadrature(field, n_x, cfg.nodes_per_panel,
-                          extra_breakpoints=[b - shift for b in field.strip_bounds])
-        for shift, _ in groups
-    ]
-    x_all = np.concatenate([x_pts for x_pts, _ in grids])
-    w_all = np.concatenate([x_wts for _, x_wts in grids])
-    # a smooth field's x-grid is the uniform torus grid, so a chunk's
-    # y-points are that grid shifted by each eps z: a ShiftedGrid
-    axis = QuadratureGrid.torus(cfg.n_x).axis if field.strip_normal is None else None
+    if field.strip_normal is None:
+        # a smooth field's x-grid is the uniform torus grid, so a chunk's
+        # y-points are that grid shifted by each eps z: a ShiftedGrid
+        x_pts, x_wts = volume_quadrature(field, cfg.n_x)
+        x_grid, w_grid = x_pts[None], x_wts[None]
+        axis = QuadratureGrid.torus(cfg.n_x).axis
+    else:
+        # z-nodes with the same level shift (rounded) share one x-grid row
+        shifts = np.round(eps * (z_pts @ np.asarray(field.strip_normal, dtype=float)), 13)
+        shifts, group = np.unique(shifts, return_inverse=True)
+        n_tau = 1 if _tangent_invariant(field, kernel) else cfg.n_x
+        x_grid, w_grid = cat.shifted_strip_quadrature(field, shifts, n_tau,
+                                                      cfg.nodes_per_panel)
+        axis = None
+    n_rows, p = w_grid.shape
+    x_all = x_grid.reshape(-1, 2)
 
-    # the x-only factors of every group: b(x) when an integrand needs it,
-    # and for every time flow_x's displacement and the weight x_wts * mu1
-    bx_all = field.eval_many(x_all) if need_g1 or need_g2 else None
+    def stacked(values):
+        return values.reshape(n_rows, p, *values.shape[1:])
+
+    # the x-only factors: b(x) when an integrand needs it, and for every
+    # time flow_x's displacement and the weight x_wts * mu1
+    bx_grid = stacked(field.eval_many(x_all)) if need_g1 or need_g2 else None
     flow_x.begin_batch(x_all, times)
-    per_t = {t: (flow_x.displacement(t, x_all), w_all * flow_x.density(t, x_all))
+    per_t = {t: (stacked(flow_x.displacement(t, x_all)),
+                 stacked(w_grid.ravel() * flow_x.density(t, x_all)))
              for t in times}
     flow_x.end_batch()
     if kernel.eta.is_constant:
         rho_all = kernel.rho(None, z_pts)
         d2_all = kernel.d2_rho(None, z_pts)
+    else:
+        eta_grid = stacked(kernel.eta.eta(x_all))
+        d_eta_grid = stacked(kernel.eta.d_eta(x_all)) if need_g1 else None
 
     def accumulate(rows, sel):
-        """The group's x-grid (the ``rows`` of the sweep's x-points) paired
-        against the z-nodes ``sel``, as (q, P) arrays with one row per z."""
-        x_pts = x_all[rows]
-        bx = None if bx_all is None else bx_all[rows]
+        """The z-nodes ``sel`` against their x-grid rows (``rows`` of the
+        stack), as (q, P) arrays with one row per z."""
+        x_pts = x_grid[rows]  # (q,P,2), or (1,P,2) for a single row
+        bx = None if bx_grid is None else bx_grid[rows]
         z_chunk, zw_chunk = z_pts[sel], z_wts[sel]
         ez = eps * z_chunk
-        p, q = x_pts.shape[0], z_chunk.shape[0]
+        q = z_chunk.shape[0]
         if axis is None:
-            y_batch = y_pts = (x_pts[None, :, :] + ez[:, None, :]).reshape(-1, 2)
+            y_batch = y_pts = (x_pts + ez[:, None, :]).reshape(-1, 2)
         else:
             y_batch = ShiftedGrid(axis, axis, ez)
             y_pts = y_batch.points
@@ -267,40 +270,39 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
             rho = rho_all[sel][:, None]  # (q,1)
             d2 = [d2_all[sel, k][:, None] for k in (0, 1)]  # (q,1) each
         else:
-            # every x against every z, with eta(x) evaluated once per
-            # x-point; each factor only when an asked key uses it
+            # every x against every z from eta and D eta of the stack;
+            # each factor only when an asked key uses it
+            e = eta_grid[rows]
             z_col = z_chunk[:, None, :]
             if asked & {"D", "MASS"}:
-                rho = kernel.rho(x_pts, z_col)  # (q,P)
+                rho = kernel._rho(e, z_col)  # (q,P)
             if need_g2 or "I2a" in asked:
-                d2_qp = kernel.d2_rho(x_pts, z_col)
+                d2_qp = kernel._d2_rho(e, z_col)
                 d2 = [d2_qp[..., k] for k in (0, 1)]
             if need_g1:
-                d1 = kernel.d1_rho(x_pts, z_col)
-                g1 = -(d1[..., 0] * bx[:, 0] + d1[..., 1] * bx[:, 1])
+                d1 = kernel._d1_rho(e, d_eta_grid[rows], z_col)
+                g1 = -(d1[..., 0] * bx[..., 0] + d1[..., 1] * bx[..., 1])
         g2 = None
         if need_g2:
             by = field.eval_many(y_pts)
-            quot = [(by[:, k].reshape(q, p) - bx[:, k]) / eps for k in (0, 1)]
+            quot = [(by[:, k].reshape(q, p) - bx[..., k]) / eps for k in (0, 1)]
             g2 = -(d2[0] * quot[0] + d2[1] * quot[1])
         g2a = None
         if "I2a" in asked:
             davg = np.zeros((q, p, 2, 2))
             for tn, tw in zip(theta_nodes, theta_wts):
-                pts_theta = (
-                    x_pts[None, :, :] + (eps * tn) * z_chunk[:, None, :]
-                ).reshape(-1, 2)
+                pts_theta = (x_pts + (eps * tn) * z_chunk[:, None, :]).reshape(-1, 2)
                 davg += tw * field.jacobian_many(pts_theta).reshape(q, p, 2, 2)
             dbz = np.einsum("qpij,qj->qpi", davg, z_chunk)
             g2a = -(d2[0] * dbz[..., 0] + d2[1] * dbz[..., 1])
 
         flow_y.begin_batch(y_batch, times)
         for t, keys in want.items():
-            dx, xw_mu1 = (a[rows] for a in per_t[t])  # (P,2), (P,)
+            dx, xw_mu1 = (a[rows] for a in per_t[t])  # (q,P,2), (q,P); or 1 for q
             dy = flow_y.displacement(t, y_pts)  # (q*P,2)
             # the minimal-image separation, one (q,P) plane per component;
             # a tie at +-1/2 has the same norm
-            s0, s1 = ((dx[:, k][None, :] - ez[:, k][:, None]) - dy[:, k].reshape(q, p)
+            s0, s1 = ((dx[..., k] - ez[:, k][:, None]) - dy[:, k].reshape(q, p)
                       for k in (0, 1))
             s0 -= np.rint(s0)
             s1 -= np.rint(s1)
@@ -309,7 +311,7 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
             s0 += s1
             dist = np.sqrt(s0, out=s0)  # (q,P)
             mu2 = flow_y.density(t, y_pts).reshape(q, p)
-            ww = zw_chunk[:, None] * xw_mu1[None, :] * mu2
+            ww = zw_chunk[:, None] * xw_mu1 * mu2
             tot = totals[t]
             if "D" in keys:
                 tot["D"] += float(np.sum(dist * rho * ww))
@@ -331,14 +333,12 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
             del dy, s0, s1, dist, mu2, ww
         flow_y.end_batch()
 
-    start = 0
-    for (_, idx), (x_pts, _) in zip(groups, grids):
-        p = x_pts.shape[0]
-        rows = slice(start, start + p)
-        start += p
-        chunk = max(1, PAIR_CHUNK // p)
-        for lo in range(0, idx.size, chunk):
-            accumulate(rows, idx[lo : lo + chunk])
+    chunk = max(1, PAIR_CHUNK // p)
+    for lo in range(0, z_pts.shape[0], chunk):
+        sel = slice(lo, lo + chunk)
+        # a single row broadcasts as (1, P); otherwise each z-node takes
+        # its group's row
+        accumulate(slice(None) if n_rows == 1 else group[sel], sel)
     return totals
 
 

@@ -261,16 +261,15 @@ class AnisotropicKernel:
         u_inv = eye[None, :, :] - (self.gamma / (1.0 + self.gamma)) * outer
         return u, u_inv, self.det_u
 
-    def _prelude(self, x, z):
-        """(z, eta, <eta, z>, |U z|^2), the factors rho and both of its
-        gradients share, with x broadcast against z (see :meth:`rho`)."""
+    def _prelude(self, e, z):
+        """(z, <eta, z>, |U z|^2), the factors rho and both of its gradients
+        share, for direction values e broadcast against z (see :meth:`rho`)."""
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        e = self._eta_x(x)
         # a sum over the components, which for (q, P) planes is several
         # times faster than np.sum over a last axis of length dim
         ez = sum(e[..., i] * z[..., i] for i in range(self.dim))
         uz_sq = np.sum(z * z, axis=-1) + (2.0 * self.gamma + self.gamma**2) * ez**2
-        return z, e, ez, uz_sq
+        return z, ez, uz_sq
 
     def rho(self, x, z) -> np.ndarray:
         """Kernel values at the pairs (x, z).
@@ -283,12 +282,20 @@ class AnisotropicKernel:
         once per row of x.  ``d2_rho`` and ``d1_rho`` follow the same rule,
         with a trailing axis of length dim.
         """
-        _, _, _, uz_sq = self._prelude(x, z)
+        return self._rho(self._eta_x(x), z)
+
+    def _rho(self, e, z) -> np.ndarray:
+        """:meth:`rho` from the direction values e = eta(x), (..., dim)."""
+        _, _, uz_sq = self._prelude(e, z)
         return self.profile.f0(uz_sq, self.dim) * self.det_u
 
     def d2_rho(self, x, z) -> np.ndarray:
         """Gradient of rho in z:  2 F0'(|Uz|^2) U^2 z det U."""
-        z, e, ez, uz_sq = self._prelude(x, z)
+        return self._d2_rho(self._eta_x(x), z)
+
+    def _d2_rho(self, e, z) -> np.ndarray:
+        """:meth:`d2_rho` from the direction values e = eta(x)."""
+        z, ez, uz_sq = self._prelude(e, z)
         u2z = z + (2.0 * self.gamma + self.gamma**2) * ez[..., None] * e
         coeff = 2.0 * self.profile.f0_prime(uz_sq, self.dim) * self.det_u
         return coeff[..., None] * u2z
@@ -301,10 +308,16 @@ class AnisotropicKernel:
             d1 rho = F0'(|Uz|^2) det U * gamma (2 + gamma)
                      * 2 <eta, z> (D eta)^T z.
         """
-        z, e, ez, uz_sq = self._prelude(x, z)
+        e = self._eta_x(x)
         if self.eta.is_constant:
-            return np.zeros(np.broadcast_shapes(e.shape, z.shape))
-        de = self.eta.d_eta(x)  # (..., dim, dim), de[..., i, j] = d eta_i / d x_j
+            return np.zeros(np.broadcast_shapes(e.shape, np.atleast_2d(z).shape))
+        return self._d1_rho(e, self.eta.d_eta(x), z)
+
+    def _d1_rho(self, e, de, z) -> np.ndarray:
+        """:meth:`d1_rho` of a position-dependent direction from its values
+        e = eta(x) and de = D eta(x), (..., dim, dim) with
+        de[..., i, j] = d eta_i / d x_j."""
+        z, ez, uz_sq = self._prelude(e, z)
         # (D eta)^T z, written out for the two dimensions a variable eta has
         det_z = z[..., :1] * de[..., 0, :] + z[..., 1:] * de[..., 1, :]
         coeff = (

@@ -8,6 +8,7 @@ from bvflow.catalog import (
     NoJumpError,
     OnJumpError,
     get_field,
+    shifted_strip_quadrature,
     surface_quadrature,
     total_jump_mass,
     volume_quadrature,
@@ -129,6 +130,26 @@ def test_volume_quadrature_measures():
         pts, wts = volume_quadrature(get_field(fid), 64)
         assert np.isclose(np.sum(wts), 1.0, atol=1e-13)
         assert np.all((pts >= 0) & (pts < 1))
+
+
+@pytest.mark.parametrize("fid", ["C", "D"])
+def test_shifted_strip_rows_are_the_volume_grids(fid):
+    # row g is volume_quadrature split at the bounds minus shifts[g]; where
+    # the cuts coincide (shift 0 and shift 1/2) volume_quadrature drops the
+    # panel and the stacked row keeps it at weight zero with finite nodes
+    fld = get_field(fid)
+    shifts = np.array([-0.11, -0.0375, 0.0, 0.02, 0.5])
+    pts, wts = shifted_strip_quadrature(fld, shifts, 3, 8)
+    assert pts.shape == (5, 2 * 2 * 8 * 3, 2) and wts.shape == (5, 2 * 2 * 8 * 3)
+    assert np.isfinite(pts).all()
+    for shift, row_pts, row_wts in zip(shifts, pts, wts):
+        ref_pts, ref_wts = volume_quadrature(
+            fld, 3, 8, extra_breakpoints=[b - shift for b in fld.strip_bounds])
+        kept = row_wts != 0.0
+        assert kept.sum() == ref_wts.size
+        assert np.array_equal(row_pts[kept], ref_pts)
+        assert np.array_equal(row_wts[kept], ref_wts)
+        assert math.fsum(row_wts) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_vectorized_matches_scalar_off_jumps():

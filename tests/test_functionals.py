@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bvflow import catalog as cat
 from bvflow import flow
 from bvflow import functionals as fn
 from bvflow.catalog import get_field, volume_quadrature
@@ -208,16 +209,25 @@ def test_shifted_grid_sweep_matches_the_flat_sweep(fid, eta_kind):
     assert flat.grids == 2
 
 
+def z_shift_groups(fld, z_pts, eps):
+    """[(shift, z-node indices)] for the groups of z-nodes with one level
+    shift eps <n, z> (rounded to 13 decimals); a smooth field has one."""
+    if fld.strip_normal is None:
+        return [(0.0, np.arange(z_pts.shape[0]))]
+    keys = np.round(eps * (z_pts @ np.asarray(fld.strip_normal, dtype=float)), 13)
+    return [(float(s), np.flatnonzero(keys == s)) for s in np.unique(keys)]
+
+
 def reference_pair_sums(fm_x, fm_y, fld, kern, cfg, t, n_x):
-    """D, MASS, I2 and I2_ABS at t for a constant-direction kernel, over
-    the engine's z-groups with x-grids from volume_quadrature at ``n_x``
+    """D, MASS, I2 and I2_ABS at t for a constant-direction kernel, one
+    z-shift group at a time with x-grids from volume_quadrature at ``n_x``
     (on a strip field, the number of tangential nodes), as whole arrays
     and with the distance from np.hypot."""
     eps = cfg.epsilon
     z_pts, z_wts = kern.z_quadrature(None, cfg.n_z, rule="midpoint")
     rho, d2 = kern.rho(None, z_pts), kern.d2_rho(None, z_pts)
     sums = dict.fromkeys(("D", "MASS", "I2", "I2_ABS"), 0.0)
-    for shift, idx in fn._z_shift_groups(fld, z_pts, eps):
+    for shift, idx in z_shift_groups(fld, z_pts, eps):
         x_pts, x_wts = volume_quadrature(fld, n_x, cfg.nodes_per_panel,
                                          extra_breakpoints=[b - shift for b in fld.strip_bounds])
         ez = eps * z_pts[idx]
@@ -251,19 +261,43 @@ def test_pair_distance_matches_a_hypot_reference(fid):
                                   rel=1e-14, abs=0.0)
 
 
-def strip_group_sizes(fld, kern, cfg, n_tau):
-    """The x-grid size of each z-shift group of a pair sweep on a strip
-    field, with ``n_tau`` tangential nodes."""
+@pytest.mark.parametrize("fid", ["C", "D"])
+def test_pair_chunks_that_split_and_span_groups(fid, monkeypatch):
+    # a chunk of 5 z-nodes cuts through z-shift groups and runs across
+    # their ends; each z-node still meets its own group's x-grid row
+    fld, fm, kern = _pair_case(fid, "constant")
+    cfg = fn.FunctionalConfig(epsilon=0.05, n_x=16, n_z=16)
+    keys = ("D", "MASS", "I2", "I2_ABS")
+    whole = fn.pair_integrals_multi(fm, fm, fld, kern, cfg, [0.3], keys)[0.3]
+    batches = []
+
+    class Counting(ExactFlowMap):
+        def begin_batch(self, pts, times=()):
+            batches.append(np.shape(pts)[0])
+            super().begin_batch(pts, times)
+
+    p = 2 * len(fld.strip_bounds) * cfg.nodes_per_panel  # one tangential node
+    monkeypatch.setattr(fn, "PAIR_CHUNK", 5 * p)
+    split = fn.pair_integrals_multi(fm, Counting(fld), fld, kern, cfg, [0.3], keys)[0.3]
     z_pts, _ = kern.z_quadrature(None, cfg.n_z)
-    return [
-        volume_quadrature(fld, n_tau, cfg.nodes_per_panel,
-                          extra_breakpoints=[b - s for b in fld.strip_bounds])[0].shape[0]
-        for s, _ in fn._z_shift_groups(fld, z_pts, cfg.epsilon)
-    ]
+    sizes = [idx.size for _, idx in z_shift_groups(fld, z_pts, cfg.epsilon)]
+    assert any(size % 5 for size in sizes) and max(sizes) > 5
+    assert batches[:-1] == [5 * p] * (len(batches) - 1) and len(batches) > 1
+    for key in keys:
+        assert split[key] == pytest.approx(whole[key], rel=1e-14, abs=0.0), key
+
+
+def stacked_grid_size(fld, kern, cfg, n_tau):
+    """The point count of a strip-field pair sweep's stacked x-grid with
+    ``n_tau`` tangential nodes: one row per z-shift group, each of two
+    panels per strip bound (a zero-width one where two cuts coincide)."""
+    z_pts, _ = kern.z_quadrature(None, cfg.n_z)
+    groups = z_shift_groups(fld, z_pts, cfg.epsilon)
+    return len(groups) * 2 * len(fld.strip_bounds) * cfg.nodes_per_panel * n_tau
 
 
 def test_pair_sweep_evaluates_the_x_side_in_one_batch():
-    # the x-points of every z-shift group form one batch of the first map,
+    # the stacked x-grid of every z-shift group is one batch of the first map,
     # and a constant-direction kernel is evaluated once for all z-nodes;
     # exact maps and a constant direction take one tangential node
     d = get_field("D")
@@ -289,13 +323,12 @@ def test_pair_sweep_evaluates_the_x_side_in_one_batch():
     fn.pair_integrals_multi(Recording(d), ExactFlowMap(d), d, kern, cfg, [0.3], ("D",))
     assert sorted(kernel_calls) == ["d2_rho", "rho"]
     z_pts, _ = kern.z_quadrature(None, cfg.n_z)
-    groups = fn._z_shift_groups(d, z_pts, cfg.epsilon)
-    assert len(groups) > 1
-    assert len(batches) == 1
-    assert batches[0] == sum(strip_group_sizes(d, kern, cfg, 1))
+    n_groups = len(z_shift_groups(d, z_pts, cfg.epsilon))
+    assert n_groups > 1
+    assert batches == [stacked_grid_size(d, kern, cfg, 1)]
 
-    # a position-dependent direction is evaluated on a group's x-points,
-    # never on x tiled out to one row per (x, z) pair
+    # a position-dependent direction is evaluated once on the stacked
+    # x-grid, never on x tiled out to one row per (x, z) pair
     eta_rows = []
 
     class RecordingDirection(DirectionField):
@@ -310,7 +343,11 @@ def test_pair_sweep_evaluates_the_x_side_in_one_batch():
     kern = AnisotropicKernel(poly_bump, RecordingDirection.mollified_normal(d, 0.3), 3.0)
     fn.pair_integrals_multi(ExactFlowMap(d), ExactFlowMap(d), d, kern, cfg, [0.3],
                             ("D", "I1", "I2"))
-    assert eta_rows and max(eta_rows) <= max(strip_group_sizes(d, kern, cfg, cfg.n_x))
+    # eta and D eta once each on the stack, whose rows are one per group,
+    # while the pairs are one row of P x-points per z-node
+    stack = stacked_grid_size(d, kern, cfg, cfg.n_x)
+    assert eta_rows == [stack, stack]
+    assert stack < z_pts.shape[0] * (stack // n_groups)
 
 
 class Lagged(ExactFlowMap):
@@ -393,7 +430,7 @@ def test_a_mollified_direction_keeps_the_full_x_grid(monkeypatch):
         return first_batch_size(monkeypatch, lambda: fn.pair_integrals_multi(
             exact, exact, d, kern, cfg, [0.3], ("D",)))
 
-    one = sum(strip_group_sizes(d, constant, cfg, 1))
+    one = stacked_grid_size(d, constant, cfg, 1)
     assert pair_batch(constant) == one
     assert pair_batch(mollified) == cfg.n_x * one
     l1_batch = first_batch_size(monkeypatch, lambda: fn._l1_integrals(
@@ -478,6 +515,74 @@ def test_discrepancy_matches_closed_form_field_c(gamma):
     d = fn.discrepancy_D(fm, fm, c, kernel_c(gamma), cfg, t)
     oracle = closed_form_D_field_c(eps, t, gamma)
     assert d == pytest.approx(oracle, abs=2e-6)
+
+
+# level-coordinate normal n and the value v0 on s in (0, 1/2) of each
+# strip field (-v0 on the other strip), written out from the catalog table
+STRIP_FIELDS = {
+    "C": ((1.0, 0.0), (0.0, 1.0)),
+    "D": ((2.0, 1.0), (-1.0 / math.sqrt(5.0), 2.0 / math.sqrt(5.0))),
+}
+
+
+def strip_D_reference(fid, gamma, eps, t, n_z):
+    """D(t) for X = Y = the exact flow of strip field C or D, with the
+    kernel direction along the jump normal.
+
+    The flow moves each strip rigidly with unit density, so the
+    x-integral is exact in the level s = <x, n>: for the level shift
+    delta = eps <n, z> of a z-node, a share 1 - 2|delta| of the x keep
+    x + eps z in their own strip (separation eps |z|), and a share |delta|
+    crosses each way (separation t (v_from - v_to) - eps z on the torus).
+    The z-integral is the midpoint rule on the unit disk in w = U z with
+    the poly_bump profile F0(s) = (5/pi)(1 - s)^4, written out here.
+    """
+    n_vec, v0 = (np.array(a) for a in STRIP_FIELDS[fid])
+    h = 2.0 / n_z
+    axis = (np.arange(n_z) + 0.5) * h - 1.0
+    w = np.array([(a, b) for a in axis for b in axis if a * a + b * b < 1.0])
+    r_sq = np.einsum("qk,qk->q", w, w)
+    e = n_vec / np.hypot(*n_vec)
+    z = w - (gamma / (1.0 + gamma)) * np.outer(w @ e, e)
+    # rho(z) dz = F0(|w|^2) dw: det U cancels against the substitution
+    rho_dz = h * h * (5.0 / math.pi) * (1.0 - r_sq) ** 4
+
+    def torus_norm(v):
+        v = v - np.rint(v)
+        return np.hypot(v[:, 0], v[:, 1])
+
+    delta = np.abs(eps * (z @ n_vec))
+    stay = (1.0 - 2.0 * delta) * eps * np.hypot(z[:, 0], z[:, 1])
+    cross = delta * (torus_norm(2.0 * t * v0 - eps * z) + torus_norm(-2.0 * t * v0 - eps * z))
+    return math.fsum(rho_dz * (stay + cross))
+
+
+def strip_D_engine(fid, gamma, eps, t, n):
+    fld = get_field(fid)
+    kern = AnisotropicKernel(poly_bump, DirectionField.constant(fld.strip_normal), gamma)
+    fm = ExactFlowMap(fld)
+    return fn.discrepancy_D(fm, fm, fld, kern, fn.FunctionalConfig(epsilon=eps, n_x=n, n_z=n), t)
+
+
+@pytest.mark.parametrize("eps, n", [(0.05, 16), (0.1, 12)])
+@pytest.mark.parametrize("gamma", [0.0, 3.0, 9.0])
+@pytest.mark.parametrize("fid", ["C", "D"])
+def test_strip_discrepancy_matches_the_level_coordinate_reference(fid, gamma, eps, n):
+    # the panels split at the jumps and their shifted copies make the
+    # engine's x-quadrature exact, so only rounding separates the two
+    ref = strip_D_reference(fid, gamma, eps, 0.3, n)
+    assert strip_D_engine(fid, gamma, eps, 0.3, n) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_strip_reference_catches_panels_cut_on_the_wrong_side(monkeypatch):
+    # panel cuts at b + shift instead of b - shift leave a jump inside a
+    # panel on every shifted row
+    shifted = cat.shifted_strip_quadrature
+    monkeypatch.setattr(cat, "shifted_strip_quadrature",
+                        lambda fld, shifts, *args: shifted(fld, -np.asarray(shifts), *args))
+    for fid in ("C", "D"):
+        ref = strip_D_reference(fid, 3.0, 0.05, 0.3, 16)
+        assert abs(strip_D_engine(fid, 3.0, 0.05, 0.3, 16) / ref - 1.0) > 1e-3
 
 
 def test_i_eps_fd_zero_at_t0():

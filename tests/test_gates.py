@@ -85,6 +85,21 @@ def density_off_by_1e5(monkeypatch):
     monkeypatch.setattr(flow, "density_from_flow", plant)
 
 
+def i2_quotient_without_1_over_eps(monkeypatch):
+    # d2 rho scaled by eps: I2 loses the 1/eps of its difference quotient
+    pair_integrals_multi = fn.pair_integrals_multi
+
+    def plant(flow_x, flow_y, field, kernel, cfg, times, want=("D",)):
+        class Scaled(AnisotropicKernel):
+            def d2_rho(self, x, z):
+                return cfg.epsilon * super().d2_rho(x, z)
+
+        scaled = Scaled(kernel.profile, kernel.eta, kernel.gamma, kernel.dim)
+        return pair_integrals_multi(flow_x, flow_y, field, scaled, cfg, times, want)
+
+    monkeypatch.setattr(fn, "pair_integrals_multi", plant)
+
+
 @pytest.mark.parametrize(
     "gate, plant",
     [
@@ -96,6 +111,7 @@ def density_off_by_1e5(monkeypatch):
         (gates.jacobian_finite_difference, a_jacobian_off_by_1e7),
         (gates.distributional_divergence, e_jump_sigma_off_by_1e6),
         (gates.density_mass, density_off_by_1e5),
+        (gates.decomposition, i2_quotient_without_1_over_eps),
     ],
     ids=[
         "torus.min_image_antisymmetry",
@@ -106,6 +122,7 @@ def density_off_by_1e5(monkeypatch):
         "fields.jacobian_finite_difference",
         "fields.distributional_divergence",
         "flow.density_mass",
+        "functionals.decomposition",
     ],
 )
 def test_planted_fault_fails_its_gate(request, monkeypatch, gate, plant):
