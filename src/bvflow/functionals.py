@@ -25,9 +25,13 @@ anisotropic kernel is designed to suppress; the computable majorant of
 that contribution is :func:`singular_bound`, which decays like
 1/(1+gamma) when the kernel direction matches the jump normal.
 
-Quadrature layout.  z-integrals always run over the image of a tensor
-grid on the unit box under U^{-1} (the w = U z substitution), so the
-squeezed support stays resolved at any gamma.  Every x-grid comes from
+Quadrature layout.  z-integrals always run over the image under U^{-1}
+of a grid on the unit disk in w = U z, so the squeezed support stays
+resolved at any gamma.  The pair engine's grid is the midpoint tensor
+grid on the unit box; :func:`singular_bound`'s is the polar rule
+(Gauss-Legendre radius times midpoint angles), whose summand factorizes
+on that chart, so the rule is summed as a radial sum times an angular
+sum over the same nodes.  Every x-grid comes from
 :mod:`bvflow.catalog`: the uniform torus grid for smooth fields; for
 strip fields the field frame (tangential uniform x normal
 Gauss-Legendre panels) with the panels split both at the jump surfaces
@@ -80,7 +84,7 @@ import numpy as np
 from . import catalog as cat
 from .catalog import PiecewiseField, volume_quadrature
 from .flow import ShiftedGrid, collision_branch_maps
-from .kernels import AnisotropicKernel
+from .kernels import AnisotropicKernel, polar_axes
 # wrap_half is unused here but stays a module attribute: bench/test_bench.py
 # checks that the tracer rewires it in this module
 from .torus import QuadratureGrid, gauss_legendre, torus_distance, wrap_half  # noqa: F401
@@ -223,9 +227,12 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
         x_grid, w_grid = x_pts[None], x_wts[None]
         axis = QuadratureGrid.torus(cfg.n_x).axis
     else:
-        # z-nodes with the same level shift (rounded) share one x-grid row
-        shifts = np.round(eps * (z_pts @ np.asarray(field.strip_normal, dtype=float)), 13)
-        shifts, group = np.unique(shifts, return_inverse=True)
+        # z-nodes with the same level shift (rounded) share one x-grid row,
+        # cut at the first member's own shift, where its integrand jumps
+        raw = eps * (z_pts @ np.asarray(field.strip_normal, dtype=float))
+        _, first, group = np.unique(np.round(raw, 13), return_index=True,
+                                    return_inverse=True)
+        shifts = raw[first]
         n_tau = 1 if _tangent_invariant(field, kernel) else cfg.n_x
         x_grid, w_grid = cat.shifted_strip_quadrature(field, shifts, n_tau,
                                                       cfg.nodes_per_panel)
@@ -493,28 +500,39 @@ def singular_bound(field: PiecewiseField, kernel: AnisotropicKernel,
     a report row scales it by C(t)^2.
 
     With the kernel direction equal to the jump normal this decays
-    exactly like 1/(1+gamma) (the w = U z substitution).  The surface
-    integral collapses to one z-integral per component when the kernel
-    direction is constant; that z-grid and its d2 rho are then built once
-    for all components; otherwise each component takes 64 surface nodes.
+    exactly like 1/(1+gamma) (the w = U z substitution).  The z-integral
+    is the ``polar`` rule of :meth:`AnisotropicKernel.z_quadrature`
+    (n_z Gauss-Legendre radii times 2 n_z midpoint angles in w), and on
+    that chart its integrand factorizes: with w = r omega,
+    d2 rho dz = 2 F0'(r^2) r U omega r dr dtheta and z = r U^{-1} omega,
+    so the summand is
+
+        2 |F0'(r^2)| r^3 |<omega, U xi_b>| |<omega, U^{-1} eta_b>|,
+
+    and the rule's sum over its nodes is a radial sum times an angular
+    sum over the same nodes.  The surface integral collapses to one
+    z-integral per component when the kernel direction is constant;
+    otherwise each component takes 64 surface nodes, each with its own U,
+    and one (angles, nodes) product serves them all.
     """
     if not field.jumps:
         return 0.0
+    r, rw, theta = polar_axes(n_z)
+    radial = float(np.sum(np.abs(kernel.profile.f0_prime(r * r, kernel.dim)) * r * r * rw))
+    m = theta.size
+    omega = np.stack([np.cos(theta), np.sin(theta)], axis=-1)  # (m, 2)
     constant = kernel.eta.is_constant
-    m = 1 if constant else 64
-    shared = _polar_z_grid(kernel, None, n_z) if constant else None
+    n_nodes = 1 if constant else 64
     total = 0.0
     for jump in field.jumps:
-        xi = np.asarray(jump.xi, dtype=float)
-        eta_b = np.asarray(jump.eta, dtype=float)
-        k_vals = np.array([
-            _singular_z_integral(
-                shared if constant else _polar_z_grid(kernel, p, n_z), xi, eta_b
-            )
-            for p in jump.nodes(m)
-        ])
-        total += float(np.sum(k_vals)) * jump.sigma * jump.length / m
-    return 2.0 * total
+        u, u_inv, _ = kernel.u_matrix(None if constant else jump.nodes(n_nodes))
+        # <U omega, xi_b> = <omega, U xi_b>, as U is symmetric; (M, 2) each
+        u_xi = u @ np.asarray(jump.xi, dtype=float)
+        u_inv_eta = u_inv @ np.asarray(jump.eta, dtype=float)
+        angular = np.abs(omega @ u_xi.T) * np.abs(omega @ u_inv_eta.T)  # (m, M)
+        total += float(np.sum(angular)) * jump.sigma * jump.length / n_nodes
+    # the majorant's factor 2 times the summand's 2
+    return 4.0 * radial * (2.0 * np.pi / m) * total
 
 
 def _polar_z_grid(kernel, x, n_z):
@@ -525,12 +543,6 @@ def _polar_z_grid(kernel, x, n_z):
         x = x.reshape(1, 2)
     z_pts, z_wts = kernel.z_quadrature(x, n_z, rule="polar")
     return z_pts, z_wts, kernel.d2_rho(x, z_pts)
-
-
-def _singular_z_integral(grid, xi, eta_b):
-    z_pts, z_wts, d2 = grid
-    vals = np.abs(d2 @ xi) * np.abs(z_pts @ eta_b)
-    return float(np.sum(vals * z_wts))
 
 
 def profile_derivative_mass(kernel: AnisotropicKernel) -> float:

@@ -49,6 +49,7 @@ __all__ = [
     "smooth_exp",
     "poly_bump",
     "PROFILES",
+    "polar_axes",
 ]
 
 # (tag, dim) -> normalization constant; tests may patch entries to break
@@ -125,6 +126,19 @@ class BumpProfile:
     def f0_prime(self, s, dim: int) -> np.ndarray:
         """F0'(s)."""
         return self.normalization(dim) * self.core_prime(s)
+
+
+def polar_axes(n: int):
+    """The axes of the polar rule on the unit disk: n Gauss-Legendre radii
+    r on [0, 1] with weights rw that include the Jacobian r, and 2 n
+    midpoint angles theta, each of weight 2 pi / (2 n).  Returns
+    (r, rw, theta)."""
+    gl_x, gl_w = gauss_legendre(n)
+    r = 0.5 * (gl_x + 1.0)
+    rw = 0.5 * gl_w * r
+    m = 2 * n
+    theta = (np.arange(m) + 0.5) * (2.0 * np.pi / m)
+    return r, rw, theta
 
 
 smooth_exp = BumpProfile("smooth_exp")
@@ -358,11 +372,8 @@ class AnisotropicKernel:
         if rule == "polar":
             if self.dim != 2:
                 raise ValueError("polar rule is two-dimensional")
-            gl_x, gl_w = gauss_legendre(n)
-            r = 0.5 * (gl_x + 1.0)
-            rw = 0.5 * gl_w * r  # radial Jacobian
-            m = 2 * n
-            theta = (np.arange(m) + 0.5) * (2.0 * np.pi / m)
+            r, rw, theta = polar_axes(n)
+            m = theta.size
             w = np.stack(
                 [
                     (r[:, None] * np.cos(theta)[None, :]).ravel(),

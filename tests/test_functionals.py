@@ -211,11 +211,14 @@ def test_shifted_grid_sweep_matches_the_flat_sweep(fid, eta_kind):
 
 def z_shift_groups(fld, z_pts, eps):
     """[(shift, z-node indices)] for the groups of z-nodes with one level
-    shift eps <n, z> (rounded to 13 decimals); a smooth field has one."""
+    shift eps <n, z> (rounded to 13 decimals), each with the unrounded
+    shift of its first member; a smooth field has one."""
     if fld.strip_normal is None:
         return [(0.0, np.arange(z_pts.shape[0]))]
-    keys = np.round(eps * (z_pts @ np.asarray(fld.strip_normal, dtype=float)), 13)
-    return [(float(s), np.flatnonzero(keys == s)) for s in np.unique(keys)]
+    raw = eps * (z_pts @ np.asarray(fld.strip_normal, dtype=float))
+    keys = np.round(raw, 13)
+    groups = [np.flatnonzero(keys == s) for s in np.unique(keys)]
+    return [(float(raw[idx[0]]), idx) for idx in groups]
 
 
 def reference_pair_sums(fm_x, fm_y, fld, kern, cfg, t, n_x):
@@ -571,7 +574,7 @@ def test_strip_discrepancy_matches_the_level_coordinate_reference(fid, gamma, ep
     # the panels split at the jumps and their shifted copies make the
     # engine's x-quadrature exact, so only rounding separates the two
     ref = strip_D_reference(fid, gamma, eps, 0.3, n)
-    assert strip_D_engine(fid, gamma, eps, 0.3, n) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert strip_D_engine(fid, gamma, eps, 0.3, n) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_strip_reference_catches_panels_cut_on_the_wrong_side(monkeypatch):
@@ -693,6 +696,38 @@ def test_singular_bound_gamma_scaling_and_oracle():
     # the |cos sin| kinks limit the angular quadrature to O(h^2)
     assert sb0 == pytest.approx(2.0 * 4.0 * k_const, rel=2e-4)
     assert fn.singular_bound(get_field("A"), kernel_c(5.0)) == 0.0
+
+
+def tensor_singular_bound(fld, kern, n_z):
+    """singular_bound as the 2-D sum of the polar rule: at each surface
+    node the n_z x 2 n_z z-grid of z_quadrature and its d2 rho."""
+    m = 1 if kern.eta.is_constant else 64
+    total = 0.0
+    for jump in fld.jumps:
+        for p in jump.nodes(m):
+            x = None if kern.eta.is_constant else p.reshape(1, 2)
+            z, w = kern.z_quadrature(x, n_z, rule="polar")
+            vals = np.abs(kern.d2_rho(x, z) @ np.asarray(jump.xi)) \
+                * np.abs(z @ np.asarray(jump.eta))
+            total += np.sum(vals * w) * jump.sigma * jump.length / m
+    return 2.0 * total
+
+
+@pytest.mark.parametrize("gamma", [0.0, 3.0, 81.0])
+@pytest.mark.parametrize("fid", ["C", "D", "E"])
+def test_singular_bound_is_the_tensor_polar_rule(fid, gamma):
+    # the radial sum times the angular sum is the polar rule's 2-D sum, for
+    # directions along, across and off the jump normal and a mollified one
+    fld = get_field(fid)
+    directions = [DirectionField.constant((1.0, 0.0)), DirectionField.constant((2.0, 1.0)),
+                  DirectionField.constant((0.3, 1.0)), DirectionField.mollified_normal(fld, 0.3)]
+    for eta in directions:
+        for profile in (poly_bump, smooth_exp):
+            kern = AnisotropicKernel(profile, eta, gamma)
+            for n_z in (6, 11):
+                assert fn.singular_bound(fld, kern, n_z) == pytest.approx(
+                    tensor_singular_bound(fld, kern, n_z), rel=1e-13, abs=0.0), \
+                    (eta.kind, eta.vector, profile.tag, n_z)
 
 
 def test_singular_bound_rotated_normal_field_d():
