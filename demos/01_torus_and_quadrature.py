@@ -7,16 +7,15 @@ smooth periodic functions with spectral accuracy.
 
 import numpy as np
 
-from bvflow.torus import QuadratureGrid, integrate, min_image, wrap
+from bvflow.torus import QuadratureGrid, integrate, min_image_coords, wrap_coords
 
 print(__doc__)
 
-print("wrap((1.25, -0.5)) ->", wrap((1.25, -0.5)).coords)
-a, b = wrap((0.1, 0.1)), wrap((0.9, 0.1))
-print("min_image((0.1,0.1), (0.9,0.1)) ->", min_image(a, b).components,
-      " (the short way around)")
-tie = min_image(wrap((0.6, 0.0)), wrap((0.1, 0.0)))
-print("tie at distance exactly 1/2 resolves to", tie.components[0])
+print("wrap_coords((1.25, -0.5)) ->", wrap_coords((1.25, -0.5)))
+print("min_image_coords((0.1,0.1), (0.9,0.1)) ->",
+      min_image_coords((0.1, 0.1), (0.9, 0.1)), " (the short way around)")
+tie = min_image_coords((0.6, 0.0), (0.1, 0.0))
+print("tie at distance exactly 1/2 resolves to", tie[0])
 
 print("\nspectral convergence of the uniform grid on a smooth integrand:")
 f = lambda p: np.exp(np.sin(2 * np.pi * p[:, 0]) + np.cos(2 * np.pi * p[:, 1]))

@@ -285,8 +285,6 @@ class PiecewiseField:
 
 
 def _point_array(point) -> np.ndarray:
-    if hasattr(point, "as_array"):
-        return point.as_array()
     return np.asarray(point, dtype=float).reshape(-1)
 
 

@@ -186,12 +186,12 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     the x-only factors of the whole stack in one batch of ``flow_x`` over
     all the times: b(x), and per time the displacement and the x-weight
     times mu1; with a position-dependent direction also eta and D eta,
-    so each is evaluated once per stacked x-point; with a constant
-    direction rho and d2 rho are evaluated once for all z-nodes.  The
-    z-nodes are then swept in chunks of at most :data:`PAIR_CHUNK` pairs,
-    which may span groups: each z-node gathers its group's row of every
-    x-side array, so a chunk's planes are (q, P).  A single row is
-    broadcast as (1, P) instead.  Each chunk's y-points are one batch of
+    so each is evaluated once per stacked x-point.  The z-nodes are then
+    swept in chunks of at most :data:`PAIR_CHUNK` pairs, which may span
+    groups: each z-node gathers its group's row of every x-side array, so
+    a chunk's planes are (q, P).  A single row is broadcast as (1, P)
+    instead, and the kernel factors of a constant direction as (q, 1)
+    columns.  Each chunk's y-points are one batch of
     ``flow_y`` over all the times; on a smooth field that batch is a
     :class:`bvflow.flow.ShiftedGrid`, the torus x-grid's axes with the
     chunk's eps z as shifts.
@@ -252,8 +252,7 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
              for t in times}
     flow_x.end_batch()
     if kernel.eta.is_constant:
-        rho_all = kernel.rho(None, z_pts)
-        d2_all = kernel.d2_rho(None, z_pts)
+        eta_grid = d_eta_grid = None
     else:
         eta_grid = stacked(kernel.eta.eta(x_all))
         d_eta_grid = stacked(kernel.eta.d_eta(x_all)) if need_g1 else None
@@ -271,24 +270,21 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
         else:
             y_batch = ShiftedGrid(axis, axis, ez)
             y_pts = y_batch.points
-        # time-independent factors; d2 holds the two planes of d2 rho
+        # time-independent factors, each only when an asked key uses it;
+        # d2 holds the two planes of d2 rho.  The z-column broadcasts
+        # against eta of the stack's rows as (q, P) planes, and against a
+        # constant direction (x = None, its (2,) vector) as (q, 1) columns.
         g1 = rho = d2 = None
-        if kernel.eta.is_constant:
-            rho = rho_all[sel][:, None]  # (q,1)
-            d2 = [d2_all[sel, k][:, None] for k in (0, 1)]  # (q,1) each
-        else:
-            # every x against every z from eta and D eta of the stack;
-            # each factor only when an asked key uses it
-            e = eta_grid[rows]
-            z_col = z_chunk[:, None, :]
-            if asked & {"D", "MASS"}:
-                rho = kernel._rho(e, z_col)  # (q,P)
-            if need_g2 or "I2a" in asked:
-                d2_qp = kernel._d2_rho(e, z_col)
-                d2 = [d2_qp[..., k] for k in (0, 1)]
-            if need_g1:
-                d1 = kernel._d1_rho(e, d_eta_grid[rows], z_col)
-                g1 = -(d1[..., 0] * bx[..., 0] + d1[..., 1] * bx[..., 1])
+        e = None if eta_grid is None else eta_grid[rows]
+        z_col = z_chunk[:, None, :]
+        if asked & {"D", "MASS"}:
+            rho = kernel.rho(None, z_col) if e is None else kernel._rho(e, z_col)
+        if need_g2 or "I2a" in asked:
+            d2_qp = kernel.d2_rho(None, z_col) if e is None else kernel._d2_rho(e, z_col)
+            d2 = [d2_qp[..., k] for k in (0, 1)]
+        if need_g1:
+            d1 = kernel._d1_rho(e, d_eta_grid[rows], z_col)
+            g1 = -(d1[..., 0] * bx[..., 0] + d1[..., 1] * bx[..., 1])
         g2 = None
         if need_g2:
             by = field.eval_many(y_pts)
@@ -307,8 +303,9 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
         for t, keys in want.items():
             dx, xw_mu1 = (a[rows] for a in per_t[t])  # (q,P,2), (q,P); or 1 for q
             dy = flow_y.displacement(t, y_pts)  # (q*P,2)
-            # the minimal-image separation, one (q,P) plane per component;
-            # a tie at +-1/2 has the same norm
+            # the minimal-image separation, one (q,P) plane per component:
+            # torus.wrap_half in place, without its fold of +1/2 to -1/2,
+            # which changes no norm
             s0, s1 = ((dx[..., k] - ez[:, k][:, None]) - dy[:, k].reshape(q, p)
                       for k in (0, 1))
             s0 -= np.rint(s0)

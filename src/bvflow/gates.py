@@ -92,8 +92,8 @@ def aligned_gauss_box(eta, gamma, box):
 @_gate("torus")
 def wrap_idempotent(full):
     w1 = wrap_coords(np.random.default_rng(BATTERY_SEED).normal(scale=3.0, size=(256, 2)))
-    moved = int(np.count_nonzero(wrap_coords(w1) != w1))
-    return moved == 0, "wrap(wrap(v)) == wrap(v) on 256 samples", moved
+    bad = int(np.count_nonzero((wrap_coords(w1) != w1) | (w1 < 0.0) | (w1 >= 1.0)))
+    return bad == 0, "wrap(v) in [0, 1) and wrap(wrap(v)) == wrap(v) on 256 samples", bad
 
 
 @_gate("torus")

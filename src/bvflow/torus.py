@@ -21,14 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "TorusPoint",
-    "Displacement",
     "QuadratureGrid",
     "QuadratureError",
-    "wrap",
     "wrap_coords",
     "wrap_half",
-    "min_image",
     "min_image_coords",
     "torus_distance",
     "integrate",
@@ -67,86 +63,15 @@ def wrap_coords(raw) -> np.ndarray:
 
 
 def wrap_half(values) -> np.ndarray:
-    """Reduce values into [-1/2, 1/2), elementwise.
+    """Reduce values into [-1/2, 1/2), elementwise: the representative of
+    x modulo 1 nearest to 0.
 
-    The tie at +-1/2 resolves to -1/2 (exactly the convention of
-    :func:`min_image`).  Computed as in :func:`wrap_coords` on x + 1/2,
-    bit-identical to ``np.mod(x + 0.5, 1.0) - 0.5``.
+    Computed as x - rint(x), which is exact in floating point, with +1/2
+    folded to -1/2, so the tie at +-1/2 resolves to -1/2.  Forming
+    x + 1/2 first would round: (1 - 2^-53) + 1/2 is 1.5 in float64, which
+    would reduce 1 - 2^-53 to 0 instead of -2^-53.
     """
-    arr = np.asarray(values, dtype=float)
-    out = np.add(arr, 0.5, out=np.empty_like(arr))
-    out -= np.floor(out)
-    out[out >= 1.0] = 0.0
-    out -= 0.5
-    return out
-
-
-@dataclass(frozen=True)
-class TorusPoint:
-    """A point on the N-torus; every coordinate lies in [0, 1)."""
-
-    coords: tuple
-
-    def __init__(self, coords):
-        arr = wrap_coords(coords)
-        object.__setattr__(self, "coords", tuple(float(c) for c in np.atleast_1d(arr)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
-
-    def __add__(self, disp: "Displacement") -> "TorusPoint":
-        return TorusPoint(self.as_array() + disp.as_array())
-
-
-@dataclass(frozen=True)
-class Displacement:
-    """A minimal-image difference vector; components in [-1/2, 1/2)."""
-
-    components: tuple
-
-    def __init__(self, components):
-        arr = np.atleast_1d(np.asarray(components, dtype=float))
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite displacement")
-        if np.any(arr < -0.5) or np.any(arr >= 0.5):
-            raise ValueError(
-                f"displacement components must lie in [-1/2, 1/2): {arr.tolist()}"
-            )
-        object.__setattr__(self, "components", tuple(float(c) for c in arr))
-
-    @property
-    def dim(self) -> int:
-        return len(self.components)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.components, dtype=float)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
-    def __neg__(self) -> "Displacement":
-        return Displacement(_fold_half(-self.as_array()))
-
-
-def wrap(raw) -> TorusPoint:
-    """Wrap raw coordinates onto the torus.
-
-    >>> wrap((1.25, -0.5)).coords
-    (0.25, 0.5)
-    """
-    return TorusPoint(raw)
-
-
-def _fold_half(x) -> np.ndarray:
-    """x - rint(x), with +1/2 folded to -1/2: the representative of x
-    modulo 1 in [-1/2, 1/2).  x - rint(x) is exact in floating point, so
-    unlike :func:`wrap_half` this never rounds x + 1/2 (which turns
-    1 - 2^-53 into 1.5)."""
-    d = np.array(x, dtype=float)
+    d = np.array(values, dtype=float)
     d -= np.rint(d)
     d[d >= 0.5] -= 1.0
     return d
@@ -160,12 +85,7 @@ def min_image_coords(a, b) -> np.ndarray:
     of a - b and of b + d (a few ulps of max(|a|, |b|, 1)); it need not
     equal it bit for bit.
     """
-    return _fold_half(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-
-
-def min_image(a: TorusPoint, b: TorusPoint) -> Displacement:
-    """Minimal-image difference a - b as a :class:`Displacement`."""
-    return Displacement(min_image_coords(a.as_array(), b.as_array()))
+    return wrap_half(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
 
 
 def torus_distance(a, b) -> np.ndarray:
@@ -181,14 +101,13 @@ class QuadratureGrid:
     """Uniform tensor grid with one weight per node.
 
     ``nodes`` has shape (M, dim); ``weight`` is the common weight, so the
-    weights sum to the measure of the underlying domain (1 for the torus,
-    the box volume otherwise).
+    weights sum to the measure of the region the grid covers (1 for the
+    torus, the box volume otherwise).
     """
 
     points_per_dim: int
     nodes: np.ndarray
     weight: float
-    domain: str  # "torus" or "box"
 
     @classmethod
     def torus(cls, n: int, dim: int = 2) -> "QuadratureGrid":
@@ -199,7 +118,7 @@ class QuadratureGrid:
         nodes = np.stack(
             np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1
         ).reshape(-1, dim)
-        return cls(n, nodes, 1.0 / n**dim, "torus")
+        return cls(n, nodes, 1.0 / n**dim)
 
     @classmethod
     def box(cls, n: int, dim: int = 2, lo: float = -1.0, hi: float = 1.0) -> "QuadratureGrid":
@@ -213,7 +132,7 @@ class QuadratureGrid:
         nodes = np.stack(
             np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1
         ).reshape(-1, dim)
-        return cls(n, nodes, h**dim, "box")
+        return cls(n, nodes, h**dim)
 
     @property
     def dim(self) -> int:

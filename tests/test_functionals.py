@@ -301,7 +301,8 @@ def stacked_grid_size(fld, kern, cfg, n_tau):
 
 def test_pair_sweep_evaluates_the_x_side_in_one_batch():
     # the stacked x-grid of every z-shift group is one batch of the first map,
-    # and a constant-direction kernel is evaluated once for all z-nodes;
+    # and a constant-direction kernel is evaluated with x = None, one (q, 1)
+    # column per chunk of q z-nodes (one chunk here), never per x-point;
     # exact maps and a constant direction take one tangential node
     d = get_field("D")
     batches = []
@@ -314,18 +315,22 @@ def test_pair_sweep_evaluates_the_x_side_in_one_batch():
 
     class CountingKernel(AnisotropicKernel):
         def rho(self, x, z):
-            kernel_calls.append("rho")
-            return super().rho(x, z)
+            out = super().rho(x, z)
+            kernel_calls.append(("rho", x, out.shape))
+            return out
 
         def d2_rho(self, x, z):
-            kernel_calls.append("d2_rho")
-            return super().d2_rho(x, z)
+            out = super().d2_rho(x, z)
+            kernel_calls.append(("d2_rho", x, out.shape))
+            return out
 
     cfg = fn.FunctionalConfig(epsilon=0.05, n_x=10, n_z=10)
     kern = CountingKernel(poly_bump, DirectionField.constant(d.strip_normal), 3.0)
-    fn.pair_integrals_multi(Recording(d), ExactFlowMap(d), d, kern, cfg, [0.3], ("D",))
-    assert sorted(kernel_calls) == ["d2_rho", "rho"]
+    fn.pair_integrals_multi(Recording(d), ExactFlowMap(d), d, kern, cfg, [0.3],
+                            ("D", "I2"))
     z_pts, _ = kern.z_quadrature(None, cfg.n_z)
+    assert sorted(kernel_calls) == [("d2_rho", None, (len(z_pts), 1, 2)),
+                                    ("rho", None, (len(z_pts), 1))]
     n_groups = len(z_shift_groups(d, z_pts, cfg.epsilon))
     assert n_groups > 1
     assert batches == [stacked_grid_size(d, kern, cfg, 1)]

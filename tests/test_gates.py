@@ -21,6 +21,11 @@ def min_image_without_half_shift(monkeypatch):
                         lambda a, b: wrap_coords(np.asarray(a) - np.asarray(b)))
 
 
+def wrap_toward_zero(monkeypatch):
+    # x - trunc(x): idempotent, but a negative x lands in (-1, 0)
+    monkeypatch.setattr(gates, "wrap_coords", lambda x: x - np.trunc(x))
+
+
 def normalization_off_by_1e5(monkeypatch):
     key = ("poly_bump", 2)
     value = kernels.poly_bump.normalization(2)
@@ -103,6 +108,7 @@ def i2_quotient_without_1_over_eps(monkeypatch):
 @pytest.mark.parametrize(
     "gate, plant",
     [
+        (gates.wrap_idempotent, wrap_toward_zero),
         (gates.min_image_antisymmetry, min_image_without_half_shift),
         (gates.normalization, normalization_off_by_1e5),
         (gates.R_a_identity, r_a_check_without_trace),
@@ -114,6 +120,7 @@ def i2_quotient_without_1_over_eps(monkeypatch):
         (gates.decomposition, i2_quotient_without_1_over_eps),
     ],
     ids=[
+        "torus.wrap_idempotent",
         "torus.min_image_antisymmetry",
         "kernels.normalization",
         "functionals.R_a_identity",

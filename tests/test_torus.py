@@ -1,19 +1,18 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bvflow.torus import (
-    Displacement,
     QuadratureGrid,
     QuadratureError,
-    TorusPoint,
     gauss_legendre,
     integrate,
-    min_image,
     min_image_coords,
     torus_distance,
-    wrap,
     wrap_coords,
     wrap_half,
 )
@@ -26,35 +25,37 @@ finite_coords = st.lists(
 
 
 def test_wrap_examples():
-    assert wrap((1.25, -0.5)).coords == (0.25, 0.5)
-    assert wrap((0.0, 0.999)).coords == (0.0, 0.999)
-    assert wrap((-3.0, 7.0)).coords == (0.0, 0.0)
+    assert wrap_coords((1.25, -0.5)).tolist() == [0.25, 0.5]
+    assert wrap_coords((0.0, 0.999)).tolist() == [0.0, 0.999]
+    assert wrap_coords((-3.0, 7.0)).tolist() == [0.0, 0.0]
 
 
 def test_wrap_rejects_nonfinite():
     with pytest.raises(ValueError):
-        wrap((np.nan, 0.0))
+        wrap_coords((np.nan, 0.0))
     with pytest.raises(ValueError):
-        wrap((np.inf, 0.0))
+        wrap_coords((np.inf, 0.0))
 
 
 def test_wrap_tiny_negative_stays_in_range():
     # -1e-17 % 1.0 rounds to 1.0 in IEEE; must fold to 0
-    assert wrap((-1e-17, 0.0)).coords[0] == 0.0
+    assert wrap_coords((-1e-17, 0.0))[0] == 0.0
 
 
-# The np.mod formulations the wraps replaced; x - floor(x) must match
-# them bit for bit.
+# The np.mod formulation wrap_coords replaced; x - floor(x) must match it
+# bit for bit.
 def wrap_coords_by_mod(x):
     out = np.mod(x, 1.0)
     out[out >= 1.0] = 0.0
     return out
 
 
-def wrap_half_by_mod(x):
-    out = np.mod(x + 0.5, 1.0)
-    out[out >= 1.0] = 0.0
-    return out - 0.5
+def wrap_half_exact(x):
+    """x - floor(x + 1/2) in exact rational arithmetic: the representative
+    of x modulo 1 in [-1/2, 1/2).  It is a multiple of ulp(x) no larger
+    than |x|, so it is a float, and float() returns it unrounded."""
+    r = Fraction(x)
+    return float(r - math.floor(r + Fraction(1, 2)))
 
 
 WRAP_EDGE_CASES = [
@@ -75,17 +76,28 @@ def assert_bits_equal(got, want):
 def test_wraps_bit_identical_to_mod(values):
     x = np.array(values + WRAP_EDGE_CASES)
     assert_bits_equal(wrap_coords(x), wrap_coords_by_mod(x))
-    assert_bits_equal(wrap_half(x), wrap_half_by_mod(x))
     grid = x[: 2 * (x.size // 2)].reshape(2, -1)
     assert_bits_equal(wrap_coords(grid), wrap_coords_by_mod(grid))
-    assert_bits_equal(wrap_half(grid), wrap_half_by_mod(grid))
 
 
 def test_wraps_of_scalars_match_mod():
     for v in WRAP_EDGE_CASES:
         x = np.array([v])
         assert_bits_equal(np.ravel(wrap_coords(v)), wrap_coords_by_mod(x))
-        assert_bits_equal(np.ravel(wrap_half(v)), wrap_half_by_mod(x))
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+def test_wrap_half_is_exact(values):
+    # wrap_half(x) is x - floor(x + 1/2) exactly, for arrays of any shape
+    # and for scalars; 0.5 - 2^-54 is the input that rounding x + 1/2
+    # first sends to -1/2
+    x = np.array(values + WRAP_EDGE_CASES)
+    want = np.array([wrap_half_exact(v) for v in x])
+    assert np.array_equal(wrap_half(x), want)
+    grid = x[: 2 * (x.size // 2)].reshape(2, -1)
+    assert np.array_equal(wrap_half(grid), want[: grid.size].reshape(grid.shape))
+    for v, w in zip(x, want):
+        assert wrap_half(v) == w
 
 
 def test_wraps_leave_their_input_alone():
@@ -98,19 +110,19 @@ def test_wraps_leave_their_input_alone():
 
 @given(finite_coords)
 def test_wrap_idempotent_and_in_range(raw):
-    p = wrap(raw)
-    assert all(0.0 <= c < 1.0 for c in p.coords)
-    assert wrap(p.coords).coords == p.coords
+    p = wrap_coords(raw)
+    assert np.all((0.0 <= p) & (p < 1.0))
+    assert_bits_equal(wrap_coords(p), p)
 
 
 def test_min_image_examples():
-    d = min_image(wrap((0.1, 0.1)), wrap((0.9, 0.1)))
-    assert np.allclose(d.components, (0.2, 0.0))
-    p = wrap((0.37, 0.81))
-    assert min_image(p, p).components == (0.0, 0.0)
+    d = min_image_coords(wrap_coords((0.1, 0.1)), wrap_coords((0.9, 0.1)))
+    assert np.allclose(d, (0.2, 0.0))
+    p = wrap_coords((0.37, 0.81))
+    assert min_image_coords(p, p).tolist() == [0.0, 0.0]
     # tie at exactly 1/2 resolves to -1/2
-    d = min_image(wrap((0.6, 0.0)), wrap((0.1, 0.0)))
-    assert d.components == (-0.5, 0.0)
+    d = min_image_coords(wrap_coords((0.6, 0.0)), wrap_coords((0.1, 0.0)))
+    assert d.tolist() == [-0.5, 0.0]
 
 
 @given(finite_coords, finite_coords)
@@ -118,11 +130,11 @@ def test_min_image_examples():
 def test_min_image_reconstructs(a_raw, b_raw):
     if len(a_raw) != len(b_raw):
         return
-    a, b = wrap(a_raw), wrap(b_raw)
-    d = min_image(a, b)
-    assert np.allclose(wrap_coords(b.as_array() + d.as_array()), a.as_array(),
-                       atol=1e-12)
-    assert d.norm() <= np.sqrt(len(a_raw)) / 2 + 1e-15
+    a, b = wrap_coords(a_raw), wrap_coords(b_raw)
+    d = min_image_coords(a, b)
+    assert np.all((-0.5 <= d) & (d < 0.5))
+    assert np.allclose(wrap_coords(b + d), a, atol=1e-12)
+    assert np.linalg.norm(d) <= np.sqrt(len(a_raw)) / 2 + 1e-15
 
 
 @given(finite_coords, finite_coords)
@@ -134,19 +146,6 @@ def test_min_image_antisymmetric_off_ties(a_raw, b_raw):
         return  # the tie is the documented exception
     d_ba = min_image_coords(b_raw, a_raw)
     assert np.allclose(d_ab, -d_ba, atol=1e-12)
-
-
-def test_displacement_validation():
-    with pytest.raises(ValueError):
-        Displacement((0.7, 0.0))
-    with pytest.raises(ValueError):
-        Displacement((0.5, 0.0))  # 0.5 excluded, -0.5 allowed
-    assert Displacement((-0.5, 0.49)).components == (-0.5, 0.49)
-
-
-def test_torus_point_addition():
-    p = TorusPoint((0.9, 0.2)) + Displacement((0.2, -0.3))
-    assert np.allclose(p.coords, (0.1, 0.9))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
