@@ -31,7 +31,7 @@ kern = AnisotropicKernel(poly_bump, eta_var, 5.0)
 rng = np.random.default_rng(1)
 for _ in range(3):
     x = rng.random((1, 2))
-    z, w = kern.z_quadrature(x, 160, rule="gauss")
+    z, w = kern.z_quadrature(x, 160, rule="polar")
     mass = float(np.sum(kern.rho(x, z) * w))
     d1 = np.linalg.norm(np.sum(kern.d1_rho(x, z) * w[:, None], axis=0))
     print(f"  x = {np.round(x[0], 3).tolist()}:"

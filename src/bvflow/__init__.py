@@ -10,7 +10,7 @@ singular contribution, and the resulting Gronwall bookkeeping.
 
 Modules
 -------
-torus        geometry and tensor quadrature on [0, 1)^N
+torus        geometry on [0, 1)^N and the torus quadrature grid
 catalog      explicit fields A..E with closed-form derivative structure
 kernels      the mollifier family rho(x, z) = F0(|U(x) z|^2) det U(x)
 flow         ensemble integration, densities, flow maps

@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .torus import QuadratureGrid, gauss_legendre, wrap_coords, wrap_half
+from .torus import gauss_legendre, torus_grid, wrap_coords, wrap_half
 
 __all__ = [
     "TAU_SIGMA",
@@ -549,7 +549,7 @@ def volume_quadrature(field: PiecewiseField, n: int, nodes_per_panel: int = 24,
     no jump-boundary error.
     """
     if field.strip_normal is None:
-        pts = QuadratureGrid.torus(n).nodes
+        pts = torus_grid(n)
         return pts, np.full(pts.shape[0], 1.0 / n**2)
     s_nodes, s_wts = strip_s_quadrature(field, extra_breakpoints, nodes_per_panel)
     return _strip_grid(field, s_nodes, s_wts, n)

@@ -5,15 +5,16 @@ Subcommands: ``catalog``, ``run <config>``, ``check [--fast|--full]``,
 multi-gamma and multi-epsilon ones included.
 
 Exit codes: 0 success, 1 failed checks, 2 configuration or validation
-errors, 3 numerical failures (NaN in a quadrature, non-transversal
-crossing).  Any scenario value that ``run`` rejects exits 2 with a
-``config error:`` line naming its key, before any output is written.
+errors, 3 non-transversal crossing or runaway trajectory.  Any scenario
+value that ``run`` rejects exits 2 with a ``config error:`` line naming
+its key, before any output is written.
 
 ``--threads`` (or the RFL_THREADS environment variable) caps the thread
 pools of the numerical backends, overriding any preset
 ``OMP_NUM_THREADS``-style variable; it is applied before numpy is
 imported, which is why the heavy imports below live inside functions.
-Results do not depend on the thread count.
+A count that is not a positive integer exits 2 with one ``error:`` line,
+before numpy loads.  Results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -26,18 +27,28 @@ __all__ = ["main"]
 
 
 def _apply_threads(n):
+    """Cap the thread pools at ``n`` (the ``--threads`` value), else at
+    RFL_THREADS.  Returns an error line, and sets nothing, when the count
+    is not a positive integer."""
+    source = "--threads"
     if n is None:
-        n = os.environ.get("RFL_THREADS")
+        n, source = os.environ.get("RFL_THREADS"), "RFL_THREADS"
     if n is None:
-        return
-    n = str(int(n))
+        return None
+    try:
+        count = int(n)
+    except ValueError:
+        count = 0
+    if count < 1:
+        return f"{source} must be a positive integer, got {n!r}"
     for var in (
         "OMP_NUM_THREADS",
         "OPENBLAS_NUM_THREADS",
         "MKL_NUM_THREADS",
         "NUMEXPR_NUM_THREADS",
     ):
-        os.environ[var] = n
+        os.environ[var] = str(count)
+    return None
 
 
 def _cmd_catalog(_args) -> int:
@@ -116,7 +127,7 @@ def main(argv=None) -> int:
         prog="bvflow",
         description="numerical laboratory for a.e. flows of BV vector fields",
     )
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", default=None,
                         help="cap numerical thread pools (RFL_THREADS fallback)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -133,11 +144,13 @@ def main(argv=None) -> int:
     p_fit.add_argument("xcol")
 
     args = parser.parse_args(argv)
-    _apply_threads(args.threads)
+    error = _apply_threads(args.threads)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
     from . import experiments as exp
     from .flow import NonTransversalCrossingError, RunawayTrajectoryError
-    from .torus import QuadratureError
 
     handlers = {
         "catalog": _cmd_catalog,
@@ -150,7 +163,7 @@ def main(argv=None) -> int:
     except exp.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, NonTransversalCrossingError, RunawayTrajectoryError) as exc:
+    except (NonTransversalCrossingError, RunawayTrajectoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

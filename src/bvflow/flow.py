@@ -63,7 +63,7 @@ import numpy as np
 
 from . import catalog
 from .catalog import PiecewiseField
-from .torus import QuadratureGrid, torus_distance, wrap_coords, wrap_half
+from .torus import torus_distance, torus_grid, wrap_coords, wrap_half
 
 __all__ = [
     "FlowSolverConfig",
@@ -596,7 +596,7 @@ def pushforward_histogram(ensemble: FlowEnsemble, t: float, bins: int) -> Densit
     flat = ij[:, 0] * bins + ij[:, 1]
     counts = np.bincount(flat, minlength=bins * bins).astype(float)
     density = counts * (bins * bins) / pos.shape[0]
-    centers = QuadratureGrid.torus(bins).nodes
+    centers = torus_grid(bins)
     return DensityField(time=t, points=centers, values=density, bins=bins)
 
 

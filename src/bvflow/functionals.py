@@ -87,7 +87,7 @@ from .flow import ShiftedGrid, collision_branch_maps
 from .kernels import AnisotropicKernel, polar_axes
 # wrap_half is unused here but stays a module attribute: bench/test_bench.py
 # checks that the tracer rewires it in this module
-from .torus import QuadratureGrid, gauss_legendre, torus_distance, wrap_half  # noqa: F401
+from .torus import gauss_legendre, torus_distance, torus_grid, wrap_half  # noqa: F401
 
 __all__ = [
     "FunctionalConfig",
@@ -222,10 +222,12 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
 
     if field.strip_normal is None:
         # a smooth field's x-grid is the uniform torus grid, so a chunk's
-        # y-points are that grid shifted by each eps z: a ShiftedGrid
+        # y-points are that grid shifted by each eps z: a ShiftedGrid.  Both
+        # coordinates run over one axis, which the first n_x nodes list
+        # in their second coordinate.
         x_pts, x_wts = volume_quadrature(field, cfg.n_x)
         x_grid, w_grid = x_pts[None], x_wts[None]
-        axis = QuadratureGrid.torus(cfg.n_x).axis
+        axis = x_pts[: cfg.n_x, 1]
     else:
         # z-nodes with the same level shift (rounded) share one x-grid row,
         # cut at the first member's own shift, where its integrand jumps
@@ -800,7 +802,7 @@ def uniqueness_report(field, flow_x, flow_y, kernel, cfg: FunctionalConfig,
     instead of a Gronwall bound.
     """
     if field.singular_divergence_violation() > 1e-9:
-        grid = QuadratureGrid.torus(256).nodes
+        grid = torus_grid(256)
         t_branch = 0.3
         z_l, z_r = collision_branch_maps(grid, t_branch)
         branch = float(np.mean(torus_distance(z_l, z_r)))

@@ -29,7 +29,7 @@ from . import flow as flow_mod
 from . import functionals as fn
 from .experiments import fit_rate
 from .kernels import PROFILES, AnisotropicKernel, DirectionField, poly_bump, smooth_exp
-from .torus import QuadratureGrid, integrate, min_image_coords, torus_distance, wrap_coords
+from .torus import min_image_coords, torus_distance, torus_grid, wrap_coords
 
 __all__ = ["InvariantResult", "GATES", "BATTERY_SEED", "gauss_box", "aligned_gauss_box"]
 
@@ -101,19 +101,6 @@ def min_image_antisymmetry(full):
     a, b = np.random.default_rng(BATTERY_SEED).random((2, 256, 2))
     anti = float(np.max(np.abs(min_image_coords(a, b) + min_image_coords(b, a))))
     return anti < 1e-15, f"max defect {anti:.2e}", anti
-
-
-@_gate("torus")
-def integrate_linear(full):
-    grid = QuadratureGrid.torus(48, 2)
-    f1 = lambda p: np.sin(2 * np.pi * p[:, 0])
-    f2 = lambda p: np.cos(2 * np.pi * (p[:, 0] + 2 * p[:, 1]))
-    lin = abs(
-        integrate(lambda p: 2.0 * f1(p) + 3.0 * f2(p), grid)
-        - 2.0 * integrate(f1, grid)
-        - 3.0 * integrate(f2, grid)
-    )
-    return lin < 1e-14, f"defect {lin:.2e}", lin
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +198,18 @@ def normalization(full):
 
 @_gate("kernels")
 def d1_rho_integral_zero(full):
-    """int d1 rho(x, z) dz = 0, the Step-1 identity (criterion 2)."""
+    """int d1 rho(x, z) dz = 0, the Step-1 identity (criterion 2), on the
+    aligned Gauss box, as for criterion 1."""
     rng = np.random.default_rng(102)
     eta_var = DirectionField.mollified_normal(cat.get_field("C"), 0.3)
     per_gamma = 6 if full else 3
+    box = gauss_box(160)
     worst = 0.0
     for gamma in (1.0, 10.0):
         kern = AnisotropicKernel(poly_bump, eta_var, gamma)
         for _ in range(per_gamma):
             x = rng.random((1, 2))
-            z, w = kern.z_quadrature(x, 160, rule="gauss")
+            z, w = aligned_gauss_box(eta_var.eta(x)[0], gamma, box)
             vec = np.sum(kern.d1_rho(np.broadcast_to(x, z.shape), z) * w[:, None], axis=0)
             worst = max(worst, float(np.linalg.norm(vec)))
     detail = f"max |int d1_rho dz| {worst:.2e} over gamma 1, 10 x {per_gamma} points"
@@ -326,11 +315,11 @@ def field_e_violations(full):
     xi, eta, _ = e.jump_data((0.5, 0.2))
     pairing = abs(float(xi @ eta))
     ens = flow_mod.integrate_flow(e, flow_mod.FlowSolverConfig(method="explicit_exact"),
-                                  QuadratureGrid.torus(n_grid).nodes, [0.0, 0.4, 0.6])
+                                  torus_grid(n_grid), [0.0, 0.4, 0.6])
     hists = [flow_mod.pushforward_histogram(ens, 0.4, b).values for b in bins]
     peaks = [float(h.max()) for h in hists]
     vac = flow_mod.pushforward_histogram(ens, 0.6, 32).values.reshape(32, 32)
-    z_l, z_r = flow_mod.collision_branch_maps(QuadratureGrid.torus(n_branch).nodes, 0.3)
+    z_l, z_r = flow_mod.collision_branch_maps(torus_grid(n_branch), 0.3)
     branch = float(np.mean(torus_distance(z_l, z_r)))
     rep = fn.uniqueness_report(e, None, None, AnisotropicKernel(poly_bump, ETA_X, 0.0),
                                fn.FunctionalConfig(epsilon=0.05), 1.0)
@@ -455,7 +444,6 @@ def decomposition(full):
 GATES = (
     wrap_idempotent,
     min_image_antisymmetry,
-    integrate_linear,
     rank_one_orthogonal,
     distributional_divergence,
     jacobian_finite_difference,

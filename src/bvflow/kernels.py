@@ -16,8 +16,9 @@ Two bump profiles are provided.  ``smooth_exp`` is C-infinity
 (exp(-1/(1-s))); ``poly_bump`` is the cheaper C^3 bump (1-s)^4, smooth
 enough for every quadrature in this package.  The normalization constant
 is computed once per (profile, dimension) from the exact radial
-reduction of the volume integral and cached; the tensor-grid quadrature
-of rho is kept as an independent oracle in the test suite.
+reduction of the volume integral and cached; tensor grids that the test
+suite builds itself (midpoint and Gauss-Legendre boxes) integrate rho as
+independent oracles.
 
 Direction fields supply eta(x) together with its analytic Jacobian:
 either a constant unit vector, or a unit field obtained by smoothly
@@ -26,9 +27,10 @@ normals are globally constant, so a literal mollification of eta_b would
 be constant too; the modulated kind exists to dial the misalignment
 |eta - eta_b| deliberately (and to exercise the x-derivative of rho).
 
-The kernel's values and gradients take points x (..., dim) and offsets
-z (..., dim) whose leading axes broadcast against each other, so P
-points against q offsets (z shaped (q, 1, dim)) give (q, P) planes with
+The kernel lives in two dimensions, like the catalog (``dim`` is the
+constant 2).  Its values and gradients take points x (..., 2) and
+offsets z (..., 2) whose leading axes broadcast against each other, so P
+points against q offsets (z shaped (q, 1, 2)) give (q, P) planes with
 eta evaluated once per point; see :meth:`AnisotropicKernel.rho`.
 """
 
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -235,7 +238,8 @@ class AnisotropicKernel:
     profile: BumpProfile
     eta: DirectionField
     gamma: float
-    dim: int = 2
+    # the polar rule, DirectionField and the catalog are two-dimensional
+    dim: ClassVar[int] = 2
 
     def __post_init__(self):
         # (1 + gamma)^2 bounds the coefficient 2 gamma + gamma^2 of |U z|^2;
@@ -356,22 +360,19 @@ class AnisotropicKernel:
         det U, so the thin direction of the ellipsoid stays fully
         resolved at any gamma.  Rules:
 
-        midpoint   cell-centered tensor grid on [-1, 1]^dim, nodes with
+        midpoint   cell-centered tensor grid on [-1, 1]^2, nodes with
                    |w| >= 1 dropped (rho vanishes there); the uniform
                    spacing is what the strip-field pair quadrature
                    exploits to batch equal level shifts
-        gauss      tensor Gauss-Legendre on the box, same masking
-        polar      (dim = 2) Gauss-Legendre in radius times a uniform
-                   angular grid; the integrand of any smooth-profile
-                   moment is smooth on this chart, so there is no
-                   disk-boundary cut error -- use it for identities that
-                   must hold to near machine precision
+        polar      Gauss-Legendre in radius times a uniform angular
+                   grid; the integrand of any smooth-profile moment is
+                   smooth on this chart, so there is no disk-boundary cut
+                   error -- use it for identities that must hold to near
+                   machine precision
 
-        Returns (nodes (Q, dim), weights (Q,)).
+        Returns (nodes (Q, 2), weights (Q,)).
         """
         if rule == "polar":
-            if self.dim != 2:
-                raise ValueError("polar rule is two-dimensional")
             r, rw, theta = polar_axes(n)
             m = theta.size
             w = np.stack(
@@ -382,26 +383,20 @@ class AnisotropicKernel:
                 axis=-1,
             )
             wts = (rw[:, None] * np.full(m, 2.0 * np.pi / m)[None, :]).ravel()
-        else:
-            if rule == "midpoint":
-                axis = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
-                wts1 = np.full(n, 2.0 / n)
-            elif rule == "gauss":
-                axis, wts1 = gauss_legendre(n)
-            else:
-                raise ValueError(f"unknown quadrature rule {rule!r}")
-            mesh = np.meshgrid(*([axis] * self.dim), indexing="ij")
-            w = np.stack(mesh, axis=-1).reshape(-1, self.dim)
-            wmesh = np.meshgrid(*([wts1] * self.dim), indexing="ij")
-            wts = np.prod(np.stack(wmesh, axis=-1).reshape(-1, self.dim), axis=-1)
-            keep = np.sum(w * w, axis=-1) < 1.0
-            w, wts = w[keep], wts[keep]
+        elif rule == "midpoint":
+            h = 2.0 / n
+            axis = -1.0 + (np.arange(n) + 0.5) * h
+            w = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+            w = w[np.sum(w * w, axis=-1) < 1.0]
+            wts = np.full(w.shape[0], h * h)
             if not self.eta.is_constant and x is None:
                 # no single U(x): integrate in z directly over the unit ball,
                 # which contains supp rho(x, .) for every x.  Adequate
                 # resolution is then the caller's concern (moderate gamma).
                 return w, wts
-        e = self._eta_x(x).reshape(self.dim)
+        else:
+            raise ValueError(f"unknown quadrature rule {rule!r}")
+        e = self._eta_x(x).reshape(2)
         ew = w @ e
         z = w - (self.gamma / (1.0 + self.gamma)) * ew[:, None] * e[None, :]
         return z, wts / self.det_u

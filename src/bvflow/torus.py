@@ -1,46 +1,33 @@
-"""Geometry and quadrature primitives on the flat N-torus [0, 1)^N.
+"""Geometry and quadrature primitives on the torus.
 
-Positions live in [0, 1)^N with periodic identification; difference
-vectors are reduced to the minimal periodic image in [-1/2, 1/2)^N.
-Quadrature is plain tensor-grid summation with uniform weights, which is
-spectrally accurate for smooth periodic integrands.  Torus grids place
-nodes at cell centers (i + 1/2)/n so that no node ever falls on the
-axis-aligned or rational-direction jump surfaces used by the field
+Positions live in [0, 1) in every coordinate with periodic
+identification; difference vectors are reduced to the minimal periodic
+image in [-1/2, 1/2).  These act elementwise on arrays of any shape.
+
+A quadrature rule is a pair of arrays, nodes and weights, throughout
+the package.  The torus rule is :func:`torus_grid`: n x n nodes, each of
+weight 1/n^2, which is spectrally accurate for smooth periodic
+integrands.  Its nodes sit at cell centers (i + 1/2)/n, so none falls on
+the axis-aligned or rational-direction jump surfaces of the field
 catalog (those sit on cell boundaries for even n).
-
-All reductions use ``np.sum`` on arrays in C order, which is pairwise and
-deterministic, so repeated runs are bit-identical regardless of how the
-caller parallelizes the surrounding work.
+:func:`gauss_legendre` supplies the one-dimensional rules the other
+grids are built from.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "QuadratureGrid",
-    "QuadratureError",
     "wrap_coords",
     "wrap_half",
     "min_image_coords",
     "torus_distance",
-    "integrate",
+    "torus_grid",
     "gauss_legendre",
 ]
-
-
-class QuadratureError(ValueError):
-    """Raised when an integrand evaluates to NaN at a quadrature node."""
-
-    def __init__(self, node_index, node):
-        self.node_index = int(node_index)
-        self.node = np.asarray(node)
-        super().__init__(
-            f"integrand is NaN at node {self.node_index} = {self.node.tolist()}"
-        )
 
 
 def wrap_coords(raw) -> np.ndarray:
@@ -96,80 +83,14 @@ def torus_distance(a, b) -> np.ndarray:
     return np.linalg.norm(min_image_coords(a, b), axis=-1)
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Uniform tensor grid with one weight per node.
-
-    ``nodes`` has shape (M, dim); ``weight`` is the common weight, so the
-    weights sum to the measure of the region the grid covers (1 for the
-    torus, the box volume otherwise).
-    """
-
-    points_per_dim: int
-    nodes: np.ndarray
-    weight: float
-
-    @classmethod
-    def torus(cls, n: int, dim: int = 2) -> "QuadratureGrid":
-        """Cell-centered n^dim grid on the torus, weight 1/n^dim."""
-        if n <= 0:
-            raise ValueError("points_per_dim must be positive")
-        axis = (np.arange(n) + 0.5) / n
-        nodes = np.stack(
-            np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1
-        ).reshape(-1, dim)
-        return cls(n, nodes, 1.0 / n**dim)
-
-    @classmethod
-    def box(cls, n: int, dim: int = 2, lo: float = -1.0, hi: float = 1.0) -> "QuadratureGrid":
-        """Midpoint-rule grid on [lo, hi]^dim."""
-        if n <= 0:
-            raise ValueError("points_per_dim must be positive")
-        if not hi > lo:
-            raise ValueError("box requires hi > lo")
-        h = (hi - lo) / n
-        axis = lo + (np.arange(n) + 0.5) * h
-        nodes = np.stack(
-            np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1
-        ).reshape(-1, dim)
-        return cls(n, nodes, h**dim)
-
-    @property
-    def dim(self) -> int:
-        return self.nodes.shape[1]
-
-    @property
-    def axis(self) -> np.ndarray:
-        """The 1-D node axis that every coordinate runs over; ``nodes``
-        is its tensor power, the last coordinate varying fastest."""
-        return self.nodes[: self.points_per_dim, -1]
-
-    @property
-    def total_measure(self) -> float:
-        return self.weight * self.nodes.shape[0]
-
-
-def integrate(f, grid: QuadratureGrid) -> float:
-    """Weighted sum of f over the grid nodes.
-
-    ``f`` is evaluated node-wise: it receives the full (M, dim) node array
-    and must return M values (a constant is broadcast).  Summation order
-    is fixed (C order, pairwise), so the result is independent of any
-    caller-side parallelism.  A NaN at any node raises
-    :class:`QuadratureError` identifying the node.
-    """
-    values = np.asarray(f(grid.nodes), dtype=float)
-    if values.ndim == 0:
-        values = np.full(grid.nodes.shape[0], float(values))
-    if values.shape != (grid.nodes.shape[0],):
-        raise ValueError(
-            f"integrand returned shape {values.shape}, expected ({grid.nodes.shape[0]},)"
-        )
-    nan_mask = np.isnan(values)
-    if nan_mask.any():
-        idx = int(np.argmax(nan_mask))
-        raise QuadratureError(idx, grid.nodes[idx])
-    return float(np.sum(values) * grid.weight)
+def torus_grid(n: int) -> np.ndarray:
+    """The cell-centered n x n grid on the torus: nodes (n^2, 2) at
+    ((i + 1/2)/n, (j + 1/2)/n), the second coordinate varying fastest.
+    Each node carries the weight 1/n^2."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    axis = (np.arange(n) + 0.5) / n
+    return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 @functools.lru_cache(maxsize=64)

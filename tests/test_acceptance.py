@@ -29,7 +29,7 @@ from bvflow.flow import (
     pushforward_histogram,
 )
 from bvflow.kernels import AnisotropicKernel, DirectionField, poly_bump
-from bvflow.torus import QuadratureGrid
+from bvflow.torus import torus_grid
 
 ETA_X = DirectionField.constant((1.0, 0.0))
 
@@ -162,7 +162,7 @@ def test_criterion_10_flow_conformance():
         assert residual <= 1e-5
         # near-incompressibility bands
         ens_a = integrate_flow(a, FlowSolverConfig(step=2e-3),
-                               QuadratureGrid.torus(512).nodes, [0.0, 0.3])
+                               torus_grid(512), [0.0, 0.3])
         h_a = pushforward_histogram(ens_a, 0.3, 8)
         b.values.append(f"ODE residual {residual:.2e}, A's density band "
                         f"[{h_a.values.min():.4f}, {h_a.values.max():.4f}]")
@@ -170,12 +170,12 @@ def test_criterion_10_flow_conformance():
         exact = FlowSolverConfig(method="explicit_exact")
         for fid, band in (("C", 1e-12), ("D", 0.1)):
             ens_f = integrate_flow(get_field(fid), exact,
-                                   QuadratureGrid.torus(256).nodes, [0.0, 1.0])
+                                   torus_grid(256), [0.0, 1.0])
             h_f = pushforward_histogram(ens_f, 1.0, 16)
             assert h_f.values.min() >= 1.0 - band
             assert h_f.values.max() <= 1.0 + band
         t = 0.5
-        ens_b = integrate_flow(get_field("B"), exact, QuadratureGrid.torus(512).nodes,
+        ens_b = integrate_flow(get_field("B"), exact, torus_grid(512),
                                [0.0, t])
         h_b = pushforward_histogram(ens_b, t, 8)
         lo, hi = math.exp(-2 * math.pi * t), math.exp(2 * math.pi * t)

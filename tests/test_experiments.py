@@ -354,12 +354,59 @@ def test_threads_flag_caps_blas_pools(preset):
     assert res.stdout.strip().splitlines()[-1] == "1"
 
 
+def run_cli_main_in_child(args, env_extra):
+    """``cli.main(args)`` in a fresh interpreter, with no thread variable
+    preset but ``env_extra``; its stdout line is the exit code, whether
+    numpy loaded, and OMP_NUM_THREADS afterwards."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS") and k != "RFL_THREADS"}
+    env.update(env_extra)
+    code = (
+        "import os, sys\n"
+        "from bvflow import cli\n"
+        f"rc = cli.main({args!r})\n"
+        "print(rc, 'numpy' in sys.modules, os.environ.get('OMP_NUM_THREADS'))\n"
+    )
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=checkout_env(env), timeout=120)
+
+
+BAD_THREAD_COUNTS = ("abc", "0", "-2")
+
+
+@pytest.mark.parametrize("count", BAD_THREAD_COUNTS)
+def test_threads_flag_rejects_bad_count(count):
+    res = run_cli_main_in_child(["--threads", count, "catalog"], {})
+    assert res.stdout.strip() == "2 False None"
+    assert res.stderr == f"error: --threads must be a positive integer, got {count!r}\n"
+
+
+@pytest.mark.parametrize("count", BAD_THREAD_COUNTS)
+def test_rfl_threads_env_rejects_bad_count(count):
+    res = run_cli_main_in_child(["catalog"], {"RFL_THREADS": count})
+    assert res.stdout.strip() == "2 False None"
+    assert res.stderr == f"error: RFL_THREADS must be a positive integer, got {count!r}\n"
+
+
+def test_cli_runaway_trajectory_exits_3(tmp_path, capsys, monkeypatch):
+    from bvflow import cli
+    from bvflow.flow import RunawayTrajectoryError
+
+    def runaway(*args, **kwargs):
+        raise RunawayTrajectoryError("field C: more than 10000 crossings")
+
+    monkeypatch.delenv("RFL_THREADS", raising=False)
+    monkeypatch.setattr(exp, "run_scenario", runaway)
+    p = write_cfg(tmp_path, MINIMAL + f"output.dir = {tmp_path / 'out'}\n")
+    assert cli.main(["run", p]) == 3
+    assert capsys.readouterr().err == "numerical failure: field C: more than 10000 crossings\n"
+
+
 def test_check_battery_passes():
     results = exp.run_checks(fast=True)
     assert [r.name for r in results] == [
         "torus.wrap_idempotent",
         "torus.min_image_antisymmetry",
-        "torus.integrate_linear",
         "fields.rank_one_orthogonal",
         "fields.distributional_divergence",
         "fields.jacobian_finite_difference",

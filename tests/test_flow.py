@@ -22,7 +22,7 @@ from bvflow.flow import (
     make_flow_map,
     pushforward_histogram,
 )
-from bvflow.torus import QuadratureGrid, torus_distance, wrap_half
+from bvflow.torus import torus_distance, torus_grid, wrap_half
 
 TWO_PI = 2.0 * math.pi
 RK4 = FlowSolverConfig(step=1e-3)
@@ -148,7 +148,7 @@ def test_ode_residual():
 
 
 def test_density_constant_fields():
-    grid = QuadratureGrid.torus(32).nodes
+    grid = torus_grid(32)
     for fid in ("C", "D"):
         ens = integrate_flow(get_field(fid), EXACT, grid, [0.0, 1.0])
         dens = density_from_flow(ens, 1.0)
@@ -174,7 +174,7 @@ def test_density_consistent_with_backward_route():
 
 
 def test_histogram_uniform_for_shear():
-    grid = QuadratureGrid.torus(256).nodes
+    grid = torus_grid(256)
     ens = integrate_flow(get_field("C"), EXACT, grid, [0.0, 0.3])
     hist = pushforward_histogram(ens, 0.3, 32)
     assert np.max(np.abs(hist.values - 1.0)) < 1e-12
@@ -183,7 +183,7 @@ def test_histogram_uniform_for_shear():
 def test_density_matches_histogram_field_b():
     # histogram of the backward ensemble estimates mu(t, .) = X(-t)_# lambda
     fld = get_field("B")
-    grid = QuadratureGrid.torus(512).nodes
+    grid = torus_grid(512)
     ens = integrate_flow(fld, EXACT, grid, [-0.5, 0.0, 0.5])
     bins = 64
     hist = pushforward_histogram(ens, -0.5, bins)
@@ -205,7 +205,7 @@ def test_field_b_histogram_band():
     # bounded-divergence band: density within [exp(-2 pi t), exp(2 pi t)] up to
     # lattice sampling error
     t = 0.5
-    ens = integrate_flow(get_field("B"), EXACT, QuadratureGrid.torus(512).nodes,
+    ens = integrate_flow(get_field("B"), EXACT, torus_grid(512),
                          [0.0, t])
     hist = pushforward_histogram(ens, t, 8)
     lo, hi = math.exp(-TWO_PI * t), math.exp(TWO_PI * t)
@@ -259,7 +259,7 @@ def test_field_e_sticky_forward():
 
 
 def test_field_e_histogram_blowup_and_vacuum():
-    grid = QuadratureGrid.torus(256).nodes
+    grid = torus_grid(256)
     ens = integrate_flow(get_field("E"), EXACT, grid, [0.0, 0.4, 0.6])
     hist4 = pushforward_histogram(ens, 0.4, 32)
     vals4 = hist4.values.reshape(32, 32)
@@ -275,7 +275,7 @@ def test_field_e_histogram_blowup_and_vacuum():
 
 
 def test_collision_branch_discrepancy():
-    grid = QuadratureGrid.torus(400).nodes
+    grid = torus_grid(400)
     z_l, z_r = collision_branch_maps(grid, 0.3)
     disc = float(np.mean(torus_distance(z_l, z_r)))
     # collided mass 0.6 times torus distance 0.4 between the branches

@@ -63,6 +63,16 @@ def u_inverse_sign_flip(monkeypatch):
     monkeypatch.setattr(AnisotropicKernel, "u_matrix", plant)
 
 
+def d1_rho_with_d_eta_transposed(monkeypatch):
+    # (D eta) z in place of (D eta)^T z
+    d1_rho = AnisotropicKernel._d1_rho
+
+    def plant(self, e, de, z):
+        return d1_rho(self, e, np.swapaxes(de, -1, -2), z)
+
+    monkeypatch.setattr(AnisotropicKernel, "_d1_rho", plant)
+
+
 def a_jacobian_off_by_1e7(monkeypatch):
     jacobian_many = cat.PiecewiseField.jacobian_many
 
@@ -99,7 +109,7 @@ def i2_quotient_without_1_over_eps(monkeypatch):
             def d2_rho(self, x, z):
                 return cfg.epsilon * super().d2_rho(x, z)
 
-        scaled = Scaled(kernel.profile, kernel.eta, kernel.gamma, kernel.dim)
+        scaled = Scaled(kernel.profile, kernel.eta, kernel.gamma)
         return pair_integrals_multi(flow_x, flow_y, field, scaled, cfg, times, want)
 
     monkeypatch.setattr(fn, "pair_integrals_multi", plant)
@@ -111,6 +121,7 @@ def i2_quotient_without_1_over_eps(monkeypatch):
         (gates.wrap_idempotent, wrap_toward_zero),
         (gates.min_image_antisymmetry, min_image_without_half_shift),
         (gates.normalization, normalization_off_by_1e5),
+        (gates.d1_rho_integral_zero, d1_rho_with_d_eta_transposed),
         (gates.R_a_identity, r_a_check_without_trace),
         (gates.singular_decay, singular_bound_decays_slower),
         (gates.scalar_product_bounds, u_inverse_sign_flip),
@@ -123,6 +134,7 @@ def i2_quotient_without_1_over_eps(monkeypatch):
         "torus.wrap_idempotent",
         "torus.min_image_antisymmetry",
         "kernels.normalization",
+        "kernels.d1_rho_integral_zero",
         "functionals.R_a_identity",
         "functionals.singular_decay",
         "kernels.scalar_product_bounds",

@@ -7,12 +7,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bvflow.torus import (
-    QuadratureGrid,
-    QuadratureError,
     gauss_legendre,
-    integrate,
     min_image_coords,
     torus_distance,
+    torus_grid,
     wrap_coords,
     wrap_half,
 )
@@ -148,49 +146,47 @@ def test_min_image_antisymmetric_off_ties(a_raw, b_raw):
     assert np.allclose(d_ab, -d_ba, atol=1e-12)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_grid_weights_sum_to_measure(dim):
-    g = QuadratureGrid.torus(8, dim)
-    assert np.isclose(g.total_measure, 1.0)
-    b = QuadratureGrid.box(8, dim, -1.0, 1.0)
-    assert np.isclose(b.total_measure, 2.0**dim)
+def torus_integral(f, n):
+    """f summed over torus_grid(n), each node of weight 1/n^2."""
+    return float(np.sum(f(torus_grid(n))) * (1.0 / n**2))
+
+
+def test_torus_grid_nodes():
+    nodes = torus_grid(4)
+    assert nodes.shape == (16, 2)
+    axis = [0.125, 0.375, 0.625, 0.875]
+    assert nodes[:4].tolist() == [[0.125, a] for a in axis]  # last coordinate fastest
+    assert nodes[::4, 0].tolist() == axis
+    with pytest.raises(ValueError):
+        torus_grid(0)
 
 
 def test_integrate_constant_and_sine():
-    g = QuadratureGrid.torus(64, 2)
-    assert integrate(lambda p: np.ones(p.shape[0]), g) == pytest.approx(1.0, abs=1e-15)
-    val = integrate(lambda p: np.sin(2 * np.pi * p[:, 0]), g)
-    assert abs(val) < 1e-12
+    assert torus_integral(lambda p: np.ones(p.shape[0]), 64) == pytest.approx(1.0, abs=1e-15)
+    assert abs(torus_integral(lambda p: np.sin(2 * np.pi * p[:, 0]), 64)) < 1e-12
+
+
+def midpoint_box(n):
+    """Nodes (n^2, 2) and common weight of the midpoint rule on [-1, 1]^2."""
+    h = 2.0 / n
+    axis = -1.0 + (np.arange(n) + 0.5) * h
+    return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2), h * h
 
 
 def test_integrate_bump_against_reference_quadrature():
-    # oracle: the same integrand on the n=1024 box grid
+    # oracle: the same integrand on the n=1024 midpoint box
     from bvflow.kernels import poly_bump
 
     f = lambda p: poly_bump.f0(np.sum(p * p, axis=1), 2)
-    ref = integrate(f, QuadratureGrid.box(1024, 2))
-    coarse = integrate(f, QuadratureGrid.box(128, 2))
+    ref, coarse = (float(np.sum(f(nodes)) * w)
+                   for nodes, w in (midpoint_box(1024), midpoint_box(128)))
     assert abs(ref - 1.0) < 1e-6  # normalization built from the radial reduction
     assert abs(coarse - ref) < 2e-3
 
 
-def test_integrate_reports_nan_node():
-    g = QuadratureGrid.torus(4, 2)
-
-    def bad(p):
-        v = np.ones(p.shape[0])
-        v[5] = np.nan
-        return v
-
-    with pytest.raises(QuadratureError) as err:
-        integrate(bad, g)
-    assert err.value.node_index == 5
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_grid_refinement_spectral(dim):
-    f = lambda p: np.exp(np.sin(2 * np.pi * p[:, 0]) + np.cos(2 * np.pi * p[:, -1]))
-    vals = [integrate(f, QuadratureGrid.torus(n, dim)) for n in (4, 8, 16, 32)]
+def test_grid_refinement_spectral():
+    f = lambda p: np.exp(np.sin(2 * np.pi * p[:, 0]) + np.cos(2 * np.pi * p[:, 1]))
+    vals = [torus_integral(f, n) for n in (4, 8, 16, 32)]
     diffs = [abs(vals[i] - vals[i + 1]) for i in range(3)]
     assert diffs[0] > diffs[1] > diffs[2]
 
