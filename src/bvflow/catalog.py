@@ -34,6 +34,7 @@ both one-sided traces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -132,7 +133,15 @@ class JumpComponent:
 class Piece:
     """A smooth piece: formula for b plus its closed-form Jacobian, and
     optionally the closed form of its divergence (by default the trace
-    of the Jacobian)."""
+    of the Jacobian).
+
+    Each formula takes points (M, 2) and must be defined and pointwise
+    (row m of the result depends on row m of the input alone) on the
+    whole torus, not only on the piece's own strip: a strip field
+    evaluates every piece on all of a point set and keeps each point's
+    own piece (:meth:`PiecewiseField._per_piece`), and the crossing solver
+    evaluates a piece's smooth extension past its strip.
+    """
 
     name: str
     b: Callable[[np.ndarray], np.ndarray]
@@ -143,7 +152,8 @@ class Piece:
         """div b at each point, shape (M,)."""
         if self.div is not None:
             return self.div(pts)
-        return np.trace(self.jacobian(pts), axis1=-2, axis2=-1)
+        jac = self.jacobian(pts)
+        return jac[:, 0, 0] + jac[:, 1, 1]
 
 
 @dataclass(frozen=True)
@@ -165,64 +175,71 @@ class PiecewiseField:
 
     # -- piece selection -------------------------------------------------
 
+    @functools.cached_property
+    def _strip_arrays(self):
+        """(strip normal, strip bounds) as float arrays, built once."""
+        return (np.asarray(self.strip_normal, dtype=float),
+                np.asarray(self.strip_bounds, dtype=float))
+
     def level_coordinate(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        n = np.asarray(self.strip_normal, dtype=float)
-        return wrap_coords(pts @ n)
+        return wrap_coords(pts @ self._strip_arrays[0])
 
     def piece_index(self, points) -> np.ndarray:
         """Index of the active piece for each point (vectorized)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.strip_normal is None:
             return np.zeros(pts.shape[0], dtype=int)
-        s = self.level_coordinate(pts)
-        bounds = np.asarray(self.strip_bounds)
-        # searchsorted against the k+1 upper bounds; s >= last bound wraps to piece 0
-        idx = np.searchsorted(bounds, s, side="right") - 1
-        idx = np.where(idx < 0, len(self.pieces) - 1, idx)
-        idx = np.where(idx >= len(self.pieces), 0, idx)
+        # the last bound at or below s; s below the first bound wraps to the last piece
+        idx = np.searchsorted(self._strip_arrays[1], self.level_coordinate(pts), side="right")
+        idx -= 1
+        idx %= len(self.pieces)
         return idx
 
     # -- vectorized evaluation (quadrature path) -------------------------
 
-    def _per_piece(self, points, fn, tails, idx=None):
-        """The arrays fn(piece, pts) returns, evaluated on each point's
-        piece; the k-th has shape (M, *tails[k]).
+    def _per_piece(self, points, fn, idx=None):
+        """The arrays fn(piece, pts) returns, each row from that point's
+        piece.
 
         ``idx`` gives each point's piece; by default the active one.  A
-        single-piece field evaluates its piece on all points directly.
+        point set on one piece evaluates that piece directly.  Otherwise
+        every piece with points is evaluated on all the points and the
+        rows merged, which is exact because a piece is pointwise and
+        defined everywhere (:class:`Piece`).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if len(self.pieces) == 1:
             return fn(self.pieces[0], pts)
         if idx is None:
             idx = self.piece_index(pts)
-        outs = tuple(np.empty((pts.shape[0],) + tail) for tail in tails)
-        for k, piece in enumerate(self.pieces):
-            rows = np.flatnonzero(idx == k)  # integer rows gather faster than a mask
-            if rows.size:
-                for out, vals in zip(outs, fn(piece, np.take(pts, rows, axis=0))):
-                    out[rows] = vals
+        counts = np.bincount(idx, minlength=len(self.pieces)).tolist()
+        # an empty point set evaluates piece 0 on no points
+        first, *rest = [k for k, count in enumerate(counts) if count] or [0]
+        outs = fn(self.pieces[first], pts)
+        for k in rest:
+            rows = idx == k
+            outs = tuple(np.where(rows.reshape(rows.shape + (1,) * (out.ndim - 1)), vals, out)
+                         for out, vals in zip(outs, fn(self.pieces[k], pts)))
         return outs
 
     def eval_many(self, points) -> np.ndarray:
         """b at each point, shape (M, 2); jump set treated as measure zero."""
-        return self._per_piece(points, lambda pc, p: (pc.b(p),), [(2,)])[0]
+        return self._per_piece(points, lambda pc, p: (pc.b(p),))[0]
 
     def jacobian_many(self, points) -> np.ndarray:
         """Jacobian of the active piece at each point, shape (M, 2, 2)."""
-        return self._per_piece(points, lambda pc, p: (pc.jacobian(p),), [(2, 2)])[0]
+        return self._per_piece(points, lambda pc, p: (pc.jacobian(p),))[0]
 
     def eval_with_divergence(self, points, piece=None):
         """(b, div^a b) at each point, shapes (M, 2) and (M,), from one
         piece selection.  ``piece`` (one index per point) evaluates those
         pieces' smooth extensions instead of the active ones."""
-        return self._per_piece(points, lambda pc, p: (pc.b(p), pc.divergence(p)),
-                               [(2,), ()], piece)
+        return self._per_piece(points, lambda pc, p: (pc.b(p), pc.divergence(p)), piece)
 
     def divergence_many(self, points) -> np.ndarray:
         """div^a b of the active piece at each point, shape (M,)."""
-        return self._per_piece(points, lambda pc, p: (pc.divergence(p),), [()])[0]
+        return self._per_piece(points, lambda pc, p: (pc.divergence(p),))[0]
 
     # -- scalar evaluation with on-jump signalling -----------------------
 
@@ -297,13 +314,14 @@ TWO_PI = 2.0 * math.pi
 
 def _const_piece(name, value) -> Piece:
     vec = np.asarray(value, dtype=float)
-    zero = np.zeros((2, 2))
 
     def b(pts):
-        return np.broadcast_to(vec, pts.shape).copy()
+        out = np.empty(pts.shape)
+        out[:] = vec
+        return out
 
     def jac(pts):
-        return np.broadcast_to(zero, (pts.shape[0], 2, 2)).copy()
+        return np.zeros((pts.shape[0], 2, 2))
 
     def div(pts):
         return np.zeros(pts.shape[0])

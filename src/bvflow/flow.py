@@ -12,13 +12,15 @@ Two solver methods:
     an RK4 step on the piece it leaves ends within ``catalog.TAU_SIGMA``
     of the surface: an Illinois secant when the full step brackets the
     surface (exact after one step on a constant piece), first-touch
-    bisection when it does not.  Then come a transversality check of the one-sided
-    traces and a restart on the receiving side with the rest of its
-    time; the other points take their full steps.  Tangential or
-    opposing traces raise :class:`NonTransversalCrossingError` (the
-    trajectory would slide or split; for field E this is the expected
-    outcome), and a trajectory with more than :data:`MAX_CROSSINGS`
-    crossings raises :class:`RunawayTrajectoryError`.
+    bisection when it does not.  The trial step at the located fraction
+    is the crossing step, kept rather than taken again.  Then come a
+    transversality check of the one-sided traces and a restart on the
+    receiving side with the rest of its time; the other points take
+    their full steps.  Tangential or opposing traces raise
+    :class:`NonTransversalCrossingError` (the trajectory would slide or
+    split; for field E this is the expected outcome), and a trajectory
+    with more than :data:`MAX_CROSSINGS` crossings raises
+    :class:`RunawayTrajectoryError`.
 
 ``explicit_exact``
     Closed-form flows, available for B (separable 1-D dynamics), C and D
@@ -250,8 +252,7 @@ def _exact_prep(fld: PiecewiseField, pts):
     if fld.id == "B":
         return _b_prep(pts[:, 0])
     if fld.id in ("C", "D"):
-        velocities = np.array([np.asarray(pc.b(np.zeros((1, 2))))[0] for pc in fld.pieces])
-        return np.take(velocities, fld.piece_index(wrap_coords(pts)), axis=0)
+        return fld.eval_many(wrap_coords(pts))
     if fld.id == "E":
         s = np.mod(pts[:, 0], 1.0)
         left = s < 0.5
@@ -506,13 +507,15 @@ def _cross(fld, y, logj, h, left, n, off):
     at an end that is kept twice in a row, which is exact after one
     step when the piece is constant.  An unbracketed point (a stall or
     a capture) bisects first-touch instead.  Each round steps only the
-    points still searching.  One RK4 step on that piece to the located
-    fraction and a projection put the point on the surface.  Both
-    one-sided traces must carry it across at a normal speed above 1e-10;
-    otherwise :class:`NonTransversalCrossingError` is raised for the
-    failing point that meets its surface first (``left`` is each point's
-    remaining time before the step).  The point is placed 2 TAU_SIGMA on
-    the receiving side.  Returns (y, logj, time used).
+    points still searching.  The located fraction is the upper end of
+    the last bracket, so the trial step that set that end is the
+    crossing step: it is kept rather than taken again, and a
+    projection puts the point on the surface.  Both one-sided traces
+    must carry it across at a normal speed above 1e-10; otherwise
+    :class:`NonTransversalCrossingError` is raised for the failing point
+    that meets its surface first (``left`` is each point's remaining time
+    before the step).  The point is placed 2 TAU_SIGMA on the receiving
+    side.  Returns (y, logj, time used).
     """
     tol = catalog.TAU_SIGMA
     nn = np.sum(n * n, axis=1)[:, None]
@@ -521,12 +524,15 @@ def _cross(fld, y, logj, h, left, n, off):
     def level(z, i=slice(None)):
         return wrap_half(np.sum(z * n[i], axis=1) - off[i])
 
-    def pinned_level(frac, i=slice(None)):
-        return level(_rk4_step(fld, y[i], logj[i], h[i] * frac, pieces[i])[0], i)
+    def pinned_step(frac, i=slice(None)):
+        """(y, log J, level) after the step of h[i] frac on the pieces being left."""
+        y_s, logj_s, _ = _rk4_step(fld, y[i], logj[i], h[i] * frac, pieces[i])
+        return y_s, logj_s, level(y_s, i)
 
     fa = level(y)
     lo, hi = np.zeros(y.shape[0]), np.ones(y.shape[0])
-    flo, fhi = fa.copy(), pinned_level(1.0)
+    y_hi, logj_hi, fhi = pinned_step(1.0)  # the step to each point's hi
+    flo = fa.copy()
     searching = np.abs(fhi) > tol
     bracketed = ~searching | (np.sign(fhi) != np.sign(fa))
     kept = np.zeros(y.shape[0])  # +1: the last round kept lo, -1: it kept hi
@@ -538,7 +544,7 @@ def _cross(fld, y, logj, h, left, n, off):
         with np.errstate(divide="ignore", invalid="ignore"):
             sec = b - fu * (b - a) / (fu - fl)
         frac = np.where(bracketed[idx] & (sec > a) & (sec < b), sec, 0.5 * (a + b))
-        fm = pinned_level(frac, idx)
+        y_m, logj_m, fm = pinned_step(frac, idx)
         on = np.abs(fm) <= tol
         reached = on | (np.sign(fm) != np.sign(fa[idx]))
         # Illinois: an end kept a second time in a row has its value halved
@@ -546,14 +552,15 @@ def _cross(fld, y, logj, h, left, n, off):
         fhi[idx] = np.where(reached, fm, np.where(kept[idx] < 0, 0.5 * fu, fu))
         lo[idx] = np.where(reached, a, frac)
         hi[idx] = np.where(reached, frac, b)
+        y_hi[idx[reached]] = y_m[reached]
+        logj_hi[idx[reached]] = logj_m[reached]
         kept[idx] = np.where(reached, 1.0, -1.0)
         searching[idx] = ~on
-    y_new, logj_new, _ = _rk4_step(fld, y, logj, h * hi, pieces)
     direction = np.sign(-fa)[:, None]
-    x_surf = y_new - level(y_new)[:, None] * n / nn
+    x_surf = y_hi - level(y_hi)[:, None] * n / nn
     probe = direction * (2.0 * tol) * n / nn
-    bn_from = np.sum(fld.eval_many(wrap_coords(x_surf - probe)) * n, axis=1)
-    bn_to = np.sum(fld.eval_many(wrap_coords(x_surf + probe)) * n, axis=1)
+    sides = fld.eval_many(wrap_coords(np.concatenate([x_surf - probe, x_surf + probe])))
+    bn_from, bn_to = np.sum(sides.reshape(2, -1, 2) * n, axis=2)
     across = np.sign(h) * direction[:, 0]
     used = np.abs(h) * hi
     bad = (across * bn_from <= 1e-10) | (across * bn_to <= 1e-10)
@@ -564,7 +571,7 @@ def _cross(fld, y, logj, h, left, n, off):
             wrap_coords(x_surf[i]),
             f"one-sided normal speeds {bn_from[i]:.3g} / {bn_to[i]:.3g}",
         )
-    return x_surf + probe, logj_new, used
+    return x_surf + probe, logj_hi, used
 
 
 def density_from_flow(ensemble: FlowEnsemble, t: float) -> DensityField:

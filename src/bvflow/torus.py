@@ -40,7 +40,7 @@ def wrap_coords(raw) -> np.ndarray:
     case where that rounds up to exactly 1.0 for tiny negative x.
     """
     arr = np.asarray(raw, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("cannot wrap non-finite coordinates")
     out = np.floor(arr, out=np.empty_like(arr))
     np.subtract(arr, out, out=out)

@@ -7,6 +7,8 @@ from bvflow.catalog import (
     FIELD_IDS,
     NoJumpError,
     OnJumpError,
+    Piece,
+    PiecewiseField,
     get_field,
     shifted_strip_quadrature,
     surface_quadrature,
@@ -182,6 +184,91 @@ def test_eval_with_divergence_matches_separate_routes():
             assert np.array_equal(b[rows], pc.b(pts[rows]))
             trace = np.trace(pc.jacobian(pts[rows]), axis1=1, axis2=2)
             assert np.array_equal(div[rows], trace)
+
+
+THREE_BOUNDS = (0.2, 0.45, 0.7)
+
+
+def three_piece_field():
+    """A strip field on the level <x, (1, 2)> with three non-constant
+    pieces; s below the first bound wraps to the last piece.  The middle
+    piece has no closed-form divergence, so it takes the Jacobian's
+    trace."""
+
+    def piece(k, with_div):
+        a, c = 1.0 + k, 0.5 * (k - 1)
+
+        def b(p):
+            return np.stack([np.sin(TWO_PI * a * p[:, 0]) + c, p[:, 0] * p[:, 1] - c], axis=-1)
+
+        def jac(p):
+            out = np.zeros((p.shape[0], 2, 2))
+            out[:, 0, 0] = TWO_PI * a * np.cos(TWO_PI * a * p[:, 0])
+            out[:, 1, 0] = p[:, 1]
+            out[:, 1, 1] = p[:, 0]
+            return out
+
+        def div(p):
+            return TWO_PI * a * np.cos(TWO_PI * a * p[:, 0]) + p[:, 0]
+
+        return Piece(f"p{k}", b, jac, div if with_div else None)
+
+    return PiecewiseField("P3", "bv", (piece(0, True), piece(1, False), piece(2, True)),
+                          strip_normal=(1, 2), strip_bounds=THREE_BOUNDS)
+
+
+def reference_piece(p):
+    """The active piece of one point, by a loop over the bounds."""
+    s = (p[0] + 2.0 * p[1]) % 1.0
+    k = len(THREE_BOUNDS) - 1
+    for j, bound in enumerate(THREE_BOUNDS):
+        if s >= bound:
+            k = j
+    return k
+
+
+def off_bounds(pts, margin=1e-9):
+    """The points whose level is farther than margin from every bound."""
+    s = np.mod(pts @ np.array([1.0, 2.0]), 1.0)
+    return pts[np.min(np.abs(s[:, None] - np.array((0.0,) + THREE_BOUNDS)), axis=1) > margin]
+
+
+def test_piece_dispatch_matches_a_per_point_reference():
+    fld = three_piece_field()
+    rng = np.random.default_rng(14)
+    pts = off_bounds(rng.uniform(-1.5, 2.5, (400, 2)))
+    active = np.array([reference_piece(p) for p in pts])
+    level = np.mod(pts @ np.array([1.0, 2.0]), 1.0)
+    last = active == 2
+    assert np.any(last & (level < 0.2)) and np.any(last & (level >= 0.7))
+    pinned = rng.integers(0, 3, pts.shape[0])
+    # all pieces; one piece only, also across the wrap; pinned pieces
+    cases = [(pts, None), (pts[active == 1], None), (pts[last], None),
+             (pts, pinned), (pts, np.zeros_like(pinned))]
+    for points, piece in cases:
+        expect = piece if piece is not None else [reference_piece(p) for p in points]
+        b, div = fld.eval_with_divergence(points, piece)
+        for i, p in enumerate(points):
+            pc = fld.pieces[expect[i]]
+            assert np.array_equal(b[i], pc.b(p[None])[0])
+            assert np.array_equal(div[i], pc.divergence(p[None])[0])
+        if piece is None:
+            assert np.array_equal(fld.piece_index(points), expect)
+            assert np.array_equal(b, fld.eval_many(points))
+            assert np.array_equal(div, fld.divergence_many(points))
+            jac = fld.jacobian_many(points)
+            for i, p in enumerate(points):
+                assert np.array_equal(jac[i], fld.pieces[expect[i]].jacobian(p[None])[0])
+
+
+@pytest.mark.parametrize("fid", ["P3"] + list(FIELD_IDS))
+def test_default_divergence_is_the_jacobian_trace(fid):
+    fld = three_piece_field() if fid == "P3" else get_field(fid)
+    pts = np.random.default_rng(15).random((64, 2))
+    for pc in fld.pieces:
+        bare = Piece(pc.name, pc.b, pc.jacobian)
+        trace = np.trace(pc.jacobian(pts), axis1=-2, axis2=-1)
+        assert bare.divergence(pts).tobytes() == trace.tobytes()
 
 
 def test_fields_are_immutable():

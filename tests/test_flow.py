@@ -22,7 +22,7 @@ from bvflow.flow import (
     make_flow_map,
     pushforward_histogram,
 )
-from bvflow.torus import torus_distance, torus_grid, wrap_half
+from bvflow.torus import torus_distance, torus_grid, wrap_coords, wrap_half
 
 TWO_PI = 2.0 * math.pi
 RK4 = FlowSolverConfig(step=1e-3)
@@ -382,7 +382,8 @@ def test_cross_locates_closed_form_crossing():
 
 def test_cross_pinned_steps_on_constant_pieces(monkeypatch):
     # the level of a pinned step is linear in the fraction on a constant
-    # piece: the full step, one secant point and the final step
+    # piece: the full step and one secant point, whose step is kept as
+    # the crossing step
     calls = []
     rk4_step = flow._rk4_step
 
@@ -393,7 +394,7 @@ def test_cross_pinned_steps_on_constant_pieces(monkeypatch):
     monkeypatch.setattr(flow, "_rk4_step", counting)
     h, _, y = crossing_steps(12, seed=9)
     cross_at_half(transversal_fixture(), h, y)
-    assert 0 < len(calls) <= 3
+    assert len(calls) == 2
 
 
 def curved_fixture():
@@ -432,12 +433,20 @@ def test_cross_on_curved_level():
     # at normal speeds in [0.6, 1.4] a start 0.55 |h| short of the
     # surface reaches it within the step
     h, _, y = crossing_steps(16, seed=10, h_range=(0.02, 0.1), reach=0.55)
-    y_new, _, used = cross_at_half(fld, h, y)
+    y_new, logj_new, used = cross_at_half(fld, h, y)
     assert np.all(used > 0) and np.all(used < np.abs(h))
-    landed, _, _ = flow._rk4_step(fld, y, np.zeros(len(h)), np.sign(h) * used,
-                                  fld.piece_index(y))
+    landed, landed_logj, _ = flow._rk4_step(fld, y, np.zeros(len(h)), np.sign(h) * used,
+                                            fld.piece_index(y))
     assert np.max(np.abs(wrap_half(landed[:, 0] - 0.5))) <= catalog.TAU_SIGMA
     assert np.all(np.sign(y_new[:, 0] - 0.5) == np.sign(h))
+    # the kept trial step is that step to the last bit: projected onto
+    # x1 = 1/2 and placed 2 TAU_SIGMA past it, as _cross places it
+    n = np.tile([1.0, 0.0], (len(h), 1))
+    nn = np.sum(n * n, axis=1)[:, None]
+    x_surf = landed - wrap_half(np.sum(landed * n, axis=1) - 0.5)[:, None] * n / nn
+    probe = np.sign(h)[:, None] * (2.0 * catalog.TAU_SIGMA) * n / nn
+    assert np.array_equal(y_new, x_surf + probe)
+    assert np.array_equal(logj_new, landed_logj) and np.any(logj_new != 0.0)
     # whole trajectories, forward and backward, against a step of 1e-4
     pts = np.random.default_rng(10).random((32, 2))
     coarse, fine = (integrate_flow(fld, FlowSolverConfig(step=step), pts, [-0.3, 0.0, 0.4])
@@ -465,6 +474,33 @@ def test_each_time_matches_its_lone_solve(fid, step, times):
         assert np.array_equal(ens.positions[k], lone.positions[j])
         assert np.array_equal(ens.displacements[k], lone.displacements[j])
         assert np.array_equal(ens.log_jacobian[k], lone.log_jacobian[j])
+
+
+@pytest.mark.parametrize("fid", ["A", "B", "C", "T", "S"])
+def test_each_trajectory_matches_its_one_point_solve(fid):
+    # trajectories are independent to the last bit: no point's position or
+    # log J depends on which other points share its solve (a strip field
+    # evaluates every piece on all the points of a stage)
+    fld = {"T": transversal_fixture, "S": curved_fixture}.get(fid, lambda: get_field(fid))()
+    cfg = FlowSolverConfig(step=0.02)
+    pts = np.random.default_rng(12).random((48, 2))
+    times = [-0.35, 0.0, 0.45]
+    ens = integrate_flow(fld, cfg, pts, times)
+    for i in range(pts.shape[0]):
+        lone = integrate_flow(fld, cfg, pts[i : i + 1], times)
+        assert np.array_equal(ens.positions[:, i], lone.positions[:, 0])
+        assert np.array_equal(ens.log_jacobian[:, i], lone.log_jacobian[:, 0])
+
+
+@pytest.mark.parametrize("fid", ["C", "D"])
+def test_strip_exact_prep_is_the_piece_velocity_table(fid):
+    # each point's velocity is its piece's constant value, looked up by
+    # piece index; the points are unwrapped, some far off [0, 1)
+    fld = get_field(fid)
+    pts = np.random.default_rng(13).uniform(-3.0, 4.0, (256, 2))
+    table = np.array([pc.b(np.zeros((1, 2)))[0] for pc in fld.pieces])
+    expected = np.take(table, fld.piece_index(wrap_coords(pts)), axis=0)
+    assert np.array_equal(flow._exact_prep(fld, pts), expected)
 
 
 def test_initial_point_on_surface_is_nudged():

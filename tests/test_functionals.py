@@ -38,11 +38,19 @@ def polar_reference(f, n=400):
 
 
 class ShiftedMap(flow.FlowMap):
-    """Y_t(x) = X_t(x) + v: a rigid offset of an existing flow map."""
+    """Y_t(x) = X_t(x) + v: a rigid offset of an existing flow map.  Its
+    batches are the base map's, so a query reuses the base's point
+    state."""
 
     def __init__(self, base, v):
         self.base = base
         self.v = np.asarray(v, dtype=float)
+
+    def begin_batch(self, pts, times=()):
+        self.base.begin_batch(pts, times)
+
+    def end_batch(self):
+        self.base.end_batch()
 
     def displacement(self, t, pts):
         return self.base.displacement(t, pts) + self.v

@@ -100,6 +100,18 @@ def density_off_by_1e5(monkeypatch):
     monkeypatch.setattr(flow, "density_from_flow", plant)
 
 
+def rk4_drifts_1e9_per_step(monkeypatch):
+    # every RK4 step moves 1e-9 along (1, 1) whatever its direction, so the
+    # backward march no longer undoes the forward one
+    rk4_step = flow._rk4_step
+
+    def plant(*args, **kwargs):
+        y_new, logj_new, k1 = rk4_step(*args, **kwargs)
+        return y_new + 1e-9, logj_new, k1
+
+    monkeypatch.setattr(flow, "_rk4_step", plant)
+
+
 def i2_quotient_without_1_over_eps(monkeypatch):
     # d2 rho scaled by eps: I2 loses the 1/eps of its difference quotient
     pair_integrals_multi = fn.pair_integrals_multi
@@ -128,6 +140,7 @@ def i2_quotient_without_1_over_eps(monkeypatch):
         (gates.jacobian_finite_difference, a_jacobian_off_by_1e7),
         (gates.distributional_divergence, e_jump_sigma_off_by_1e6),
         (gates.density_mass, density_off_by_1e5),
+        (gates.backward_forward, rk4_drifts_1e9_per_step),
         (gates.decomposition, i2_quotient_without_1_over_eps),
     ],
     ids=[
@@ -141,6 +154,7 @@ def i2_quotient_without_1_over_eps(monkeypatch):
         "fields.jacobian_finite_difference",
         "fields.distributional_divergence",
         "flow.density_mass",
+        "flow.backward_forward",
         "functionals.decomposition",
     ],
 )
