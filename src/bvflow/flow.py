@@ -164,7 +164,6 @@ class DensityField:
     time: float
     points: np.ndarray  # (M, 2)
     values: np.ndarray  # (M,)
-    bins: int | None = None
 
     def total_mass(self) -> float:
         """Mean over the (uniform) sample points, i.e. int mu d lambda."""
@@ -604,7 +603,7 @@ def pushforward_histogram(ensemble: FlowEnsemble, t: float, bins: int) -> Densit
     counts = np.bincount(flat, minlength=bins * bins).astype(float)
     density = counts * (bins * bins) / pos.shape[0]
     centers = torus_grid(bins)
-    return DensityField(time=t, points=centers, values=density, bins=bins)
+    return DensityField(time=t, points=centers, values=density)
 
 
 def check_group_property(ensemble: FlowEnsemble, s: float, t: float,

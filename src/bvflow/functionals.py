@@ -45,26 +45,13 @@ tangential translation, and in the pair engine the kernel direction
 must be constant).
 Then n_x sets nothing, and the s-panels set the accuracy
 (``FunctionalConfig.nodes_per_panel`` = 8 Gauss nodes per panel in the
-pair engine, 24 on the L^1 grid).
-The pair engine stacks its x-grids as one (G, P) array with a row per
-z-shift group (:func:`bvflow.catalog.shifted_strip_quadrature`; a
-smooth field has the one row of the torus grid).  A sweep evaluates the
-x-only factors of the whole stack in one batch of the first flow: b(x),
-and per time the displacement and the x-weight times the density; with
-a position-dependent kernel direction also eta and D eta, once per
-stacked x-point; with a constant direction rho and d2 rho are evaluated
-once for all z-nodes.  The z-nodes are swept in chunks of at most
-:data:`PAIR_CHUNK` (x, z) pairs, which bounds the pair arrays and the
-second flow's per-batch state; a chunk may span groups, and each of its
-z-nodes gathers its group's row of the x-side arrays into (q, P)
-planes, while a single row is broadcast as (1, P).  A chunk's y-points
-are one batch of the second flow over all the sweep's times; on a
-smooth field they are the uniform x-grid shifted by each eps z, passed
-as a :class:`bvflow.flow.ShiftedGrid`.  The spline map's state is then
-3 K values per pair for K times, and it builds its tap-weight matrices
-:data:`bvflow.flow.SPLINE_ROW_BLOCK` points at a time, so at most one
-block's matrix is alive.  Gauss-Legendre rules come from
+pair engine, 24 on the L^1 grid).  Gauss-Legendre rules come from
 :func:`bvflow.torus.gauss_legendre`, built once per order.
+
+Every pair integral comes from one function, :func:`pair_integrals_multi`:
+it takes the keys and the times to evaluate, returns them all from one
+sweep over the (x, z) pairs, and its docstring gives the sweep's layout.
+:func:`discrepancy_D` is its shorthand for D at one time.
 
 A report row (:func:`discrepancy_report`) is one pair sweep over the
 times {t - dt, t, t + dt}, which yields D, I1 and I2 at t and the
@@ -93,19 +80,18 @@ __all__ = [
     "FunctionalConfig",
     "DiscrepancyReport",
     "UniquenessReport",
+    "pair_integrals_multi",
     "discrepancy_D",
-    "I1",
-    "I2",
-    "I_eps_fd",
-    "pair_integrals",
     "decomposition_check",
     "R_a_check",
     "singular_bound",
     "singular_bound_envelope",
+    "profile_derivative_mass",
     "gamma_eta_tradeoff",
     "trace_identity",
     "TraceIdentityResult",
     "discrepancy_report",
+    "eqfin_residual",
     "uniqueness_report",
     "PAIR_CHUNK",
 ]
@@ -173,9 +159,6 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     I1      transformed term through the x-derivative of the kernel
     I2      transformed term through the z-derivative and the difference
             quotient of b
-    I2a     as I2 but with the quotient replaced by the theta-averaged
-            absolutely continuous derivative (8-node Gauss-Legendre in
-            theta)
     MASS    int int rho mu1 mu2 (used in error propagation)
     I1_ABS / I2_ABS   same integrands against |integrand| (error budget)
 
@@ -187,14 +170,17 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     all the times: b(x), and per time the displacement and the x-weight
     times mu1; with a position-dependent direction also eta and D eta,
     so each is evaluated once per stacked x-point.  The z-nodes are then
-    swept in chunks of at most :data:`PAIR_CHUNK` pairs, which may span
+    swept in chunks of at most :data:`PAIR_CHUNK` pairs, which bounds the
+    pair arrays and ``flow_y``'s per-batch state.  A chunk may span
     groups: each z-node gathers its group's row of every x-side array, so
     a chunk's planes are (q, P).  A single row is broadcast as (1, P)
     instead, and the kernel factors of a constant direction as (q, 1)
     columns.  Each chunk's y-points are one batch of
     ``flow_y`` over all the times; on a smooth field that batch is a
     :class:`bvflow.flow.ShiftedGrid`, the torus x-grid's axes with the
-    chunk's eps z as shifts.
+    chunk's eps z as shifts; a spline map then holds 3 K values per pair
+    for K times, and builds its tap-weight matrices
+    :data:`bvflow.flow.SPLINE_ROW_BLOCK` points at a time.
     Within a chunk every two-component quantity (the minimal-image
     separation, the b-difference quotient, d2 rho) is handled as one
     contiguous (q, P) plane per component, and the distance is the square
@@ -211,12 +197,6 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     z_pts, z_wts = kernel.z_quadrature(None, cfg.n_z, rule="midpoint")
     totals = {t: dict.fromkeys(keys, 0.0) for t, keys in want.items()}
 
-    if "I2a" in asked:
-        gl_t, gl_w = gauss_legendre(8)
-        theta_nodes = 0.5 * (gl_t + 1.0)
-        theta_wts = 0.5 * gl_w
-    else:
-        theta_nodes = theta_wts = None
     need_g1 = not kernel.eta.is_constant and bool(asked & {"I1", "I1_ABS"})
     need_g2 = bool(asked & {"I2", "I2_ABS"})
 
@@ -281,7 +261,7 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
         z_col = z_chunk[:, None, :]
         if asked & {"D", "MASS"}:
             rho = kernel.rho(None, z_col) if e is None else kernel._rho(e, z_col)
-        if need_g2 or "I2a" in asked:
+        if need_g2:
             d2_qp = kernel.d2_rho(None, z_col) if e is None else kernel._d2_rho(e, z_col)
             d2 = [d2_qp[..., k] for k in (0, 1)]
         if need_g1:
@@ -292,14 +272,6 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
             by = field.eval_many(y_pts)
             quot = [(by[:, k].reshape(q, p) - bx[..., k]) / eps for k in (0, 1)]
             g2 = -(d2[0] * quot[0] + d2[1] * quot[1])
-        g2a = None
-        if "I2a" in asked:
-            davg = np.zeros((q, p, 2, 2))
-            for tn, tw in zip(theta_nodes, theta_wts):
-                pts_theta = (x_pts + (eps * tn) * z_chunk[:, None, :]).reshape(-1, 2)
-                davg += tw * field.jacobian_many(pts_theta).reshape(q, p, 2, 2)
-            dbz = np.einsum("qpij,qj->qpi", davg, z_chunk)
-            g2a = -(d2[0] * dbz[..., 0] + d2[1] * dbz[..., 1])
 
         flow_y.begin_batch(y_batch, times)
         for t, keys in want.items():
@@ -331,8 +303,6 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
                 tot["I2"] += float(np.sum(dist * g2 * ww))
             if "I2_ABS" in keys:
                 tot["I2_ABS"] += float(np.sum(np.abs(g2) * ww))
-            if "I2a" in keys:
-                tot["I2a"] += float(np.sum(dist * g2a * ww))
             # free this time's (q,P) arrays before the next time makes its
             # own; kept alive until the next time rebinds them, they nearly
             # double the page faults of a pass on a spline map
@@ -348,44 +318,15 @@ def pair_integrals_multi(flow_x, flow_y, field: PiecewiseField,
     return totals
 
 
-def pair_integrals(flow_x, flow_y, field: PiecewiseField, kernel: AnisotropicKernel,
-                   cfg: FunctionalConfig, t: float, want=("D",)) -> dict:
-    """Single-time convenience wrapper around :func:`pair_integrals_multi`."""
-    return pair_integrals_multi(flow_x, flow_y, field, kernel, cfg, [t], want)[
-        float(t)
-    ]
-
-
 def discrepancy_D(flow_x, flow_y, field, kernel, cfg: FunctionalConfig,
                   t: float) -> float:
     """D(t) (see module docstring)."""
-    return pair_integrals(flow_x, flow_y, field, kernel, cfg, t, want=("D",))["D"]
-
-
-def I1(flow_x, flow_y, field, kernel, cfg: FunctionalConfig, t: float) -> float:
-    """The transformed term through d1 rho; identically zero for a
-    constant kernel direction."""
-    return pair_integrals(flow_x, flow_y, field, kernel, cfg, t, want=("I1",))["I1"]
-
-
-def I2(flow_x, flow_y, field, kernel, cfg: FunctionalConfig, t: float) -> float:
-    """The transformed term through d2 rho and the difference quotient."""
-    return pair_integrals(flow_x, flow_y, field, kernel, cfg, t, want=("I2",))["I2"]
+    return pair_integrals_multi(flow_x, flow_y, field, kernel, cfg, [t])[float(t)]["D"]
 
 
 def _central_difference(vals, t, h, key="D"):
     """(v(t + h) - v(t - h)) / (2 h) from a {time: {key: value}} table."""
     return (vals[t + h][key] - vals[t - h][key]) / (2.0 * h)
-
-
-def I_eps_fd(flow_x, flow_y, field, kernel, cfg: FunctionalConfig,
-             t: float) -> float:
-    """Central difference (D(t+dt) - D(t-dt)) / (2 dt)."""
-    d = pair_integrals_multi(
-        flow_x, flow_y, field, kernel, cfg, [t - cfg.dt_fd, t + cfg.dt_fd],
-        want=("D",),
-    )
-    return _central_difference(d, t, cfg.dt_fd)
 
 
 def decomposition_check(flow_x, flow_y, field, kernel, cfg: FunctionalConfig,
@@ -497,6 +438,11 @@ def singular_bound(field: PiecewiseField, kernel: AnisotropicKernel,
                     sigma(x) dH(x);
 
     a report row scales it by C(t)^2.
+
+    It is a majorant, not an estimate of I2: it lacks the separation
+    |X_t(x) - Y_t(x + eps z)|, O(eps) for X = Y, so it sits about 1/eps
+    above |I2| (|I2| / majorant 0.0092 on C and 0.005 on D for the exact
+    flows at eps 0.05, t 0.3, gamma 0 and 9).
 
     With the kernel direction equal to the jump normal this decays
     exactly like 1/(1+gamma) (the w = U z substitution).  The z-integral

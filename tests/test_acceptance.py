@@ -78,7 +78,8 @@ def test_criterion_2_step1_identity_and_i1_decay():
         vals = []
         for eps in eps_list:
             cfg = fn.FunctionalConfig(epsilon=eps, n_x=48, n_z=48)
-            vals.append(abs(fn.I1(fm, fm, a, kern, cfg, 0.3)))
+            i1 = fn.pair_integrals_multi(fm, fm, a, kern, cfg, [0.3], ("I1",))[0.3]["I1"]
+            vals.append(abs(i1))
         assert vals[0] > vals[1] > vals[2] > 0
         slope, _ = fit_rate(vals, eps_list)
         b.values.append(f"|I1| ~ eps^{slope:.3f}")

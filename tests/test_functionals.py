@@ -92,7 +92,7 @@ def test_minimal_flow_map_runs_through_the_functionals():
     minimal, exact = ClosedFormMap(b), ExpDensityExactMap(b)
     kern = kernel_c(3.0)
     cfg = fn.FunctionalConfig(epsilon=0.1, n_x=10, n_z=10)
-    want = ("D", "I1", "I2", "I2a", "MASS")
+    want = ("D", "I1", "I2", "MASS")
     assert fn.pair_integrals_multi(minimal, minimal, b, kern, cfg, [0.2, 0.3], want) == \
         fn.pair_integrals_multi(exact, exact, b, kern, cfg, [0.2, 0.3], want)
     assert fn.decomposition_check(minimal, exact, b, kern, cfg, 0.3) == \
@@ -139,18 +139,19 @@ def test_l1_grid_builds_each_maps_point_state_once(monkeypatch):
     assert calls["integrate_flow"] == 1
 
 
-PAIR_KEYS = ("D", "I1", "I2", "I2a", "MASS", "I1_ABS", "I2_ABS")
+PAIR_KEYS = ("D", "I1", "I2", "MASS", "I1_ABS", "I2_ABS")
 
 
-def _pair_case(fid, eta_kind):
+def _pair_case(fid, eta_kind, gamma=3.0):
     """Field, map and kernel of one pair-engine case: A's spline map, or
-    the exact map of B or D; a constant or a mollified kernel direction."""
+    the exact map of B, C or D; a constant or a mollified kernel
+    direction."""
     fld = get_field(fid)
     fm = (InterpolatedFlowMap(fld, FlowSolverConfig(step=1e-2), grid_n=16) if fid == "A"
           else ExactFlowMap(fld))
     eta = (DirectionField.constant(fld.strip_normal or (1.0, 0.0)) if eta_kind == "constant"
            else DirectionField.mollified_normal(get_field("C"), 0.2))
-    return fld, fm, AnisotropicKernel(poly_bump, eta, 3.0)
+    return fld, fm, AnisotropicKernel(poly_bump, eta, gamma)
 
 
 @pytest.mark.parametrize("eta_kind", ["constant", "mollified_normal"])
@@ -465,16 +466,68 @@ def test_functional_config_validation():
         fn.FunctionalConfig(epsilon=0.05, n_z=0)
 
 
-def test_discrepancy_at_time_zero_matches_first_moment():
-    # D(0) = eps <|z|>_rho for identical flows; 1-D radial oracle
-    c = get_field("C")
-    fm = ExactFlowMap(c)
-    mean_abs_z = 2 * math.pi * quad(
-        lambda r: float(poly_bump.f0(r * r, 2)) * r * r, 0.0, 1.0
-    )[0]
-    cfg = fn.FunctionalConfig(epsilon=0.05, n_x=48, n_z=48)
-    d0 = fn.discrepancy_D(fm, fm, c, kernel_c(0.0), cfg, 0.0)
-    assert d0 == pytest.approx(0.05 * mean_abs_z, abs=1e-5)
+def first_moment_reference(gamma, eps):
+    """D(0) = eps int |z| rho(z) dz = eps int |U^-1 w| F0(|w|^2) dw for
+    identical flows, with w = U z.  F0(|w|^2) is radial, so the integral
+    is the same for every kernel direction, eta(x) included; it is taken
+    here with eta = (1, 0), U^-1 w = (w1 / (1 + gamma), w2).  poly_bump's
+    normalization comes from the same test-side polar rule."""
+    def core(w):
+        return np.maximum(1.0 - np.sum(w * w, axis=-1), 0.0) ** 4
+
+    u_inv = np.array([1.0 / (1.0 + gamma), 1.0])
+    moment = polar_reference(lambda w: np.linalg.norm(w * u_inv, axis=-1) * core(w))
+    return eps * moment / polar_reference(core)
+
+
+# the midpoint z-rule's measured relative error in D(0) at eps 0.05 and
+# n_x 32, by (n_z, gamma, eta kind).  At n_z 32 it was 7.10e-5, 7.10e-5,
+# 7.22e-4 and 3.31e-3 on every field A-D, except D at gamma 10 (7.14e-5
+# along its own normal, 3.45e-3 mollified); at n_z 128 on C, 1.10e-6
+# and 1.27e-5.
+D0_REL_TOL = {
+    (32, 0.0, "constant"): 8e-5,
+    (32, 0.0, "mollified_normal"): 8e-5,
+    (32, 10.0, "constant"): 8e-4,
+    (32, 10.0, "mollified_normal"): 3.6e-3,
+    (128, 0.0, "constant"): 1.5e-6,
+    (128, 10.0, "constant"): 1.4e-5,
+}
+
+
+def d0_relative_error(fid, gamma, eta_kind, n_z):
+    fld, fm, kern = _pair_case(fid, eta_kind, gamma)
+    cfg = fn.FunctionalConfig(epsilon=0.05, n_x=32, n_z=n_z)
+    d0 = fn.discrepancy_D(fm, fm, fld, kern, cfg, 0.0)
+    return abs(d0 / first_moment_reference(gamma, cfg.epsilon) - 1.0)
+
+
+@pytest.mark.parametrize("fid,n_z,eta_kind", [
+    *((fid, 32, kind) for fid in "ABCD" for kind in ("constant", "mollified_normal")),
+    ("C", 128, "constant"),
+])
+@pytest.mark.parametrize("gamma", [0.0, 10.0])
+def test_discrepancy_at_time_zero_matches_first_moment(fid, n_z, eta_kind, gamma):
+    assert d0_relative_error(fid, gamma, eta_kind, n_z) <= D0_REL_TOL[n_z, gamma, eta_kind]
+
+
+def test_first_moment_check_catches_a_scaled_kernel(monkeypatch):
+    # rho off by 1e-4 relative, where the z-rule error is 1.1e-6
+    rho = AnisotropicKernel._rho
+    monkeypatch.setattr(AnisotropicKernel, "_rho",
+                        lambda self, e, z: rho(self, e, z) * (1.0 + 1e-4))
+    assert d0_relative_error("C", 0.0, "constant", 128) > D0_REL_TOL[128, 0.0, "constant"]
+
+
+@pytest.mark.parametrize("eta_kind", ["constant", "mollified_normal"])
+def test_first_moment_check_catches_a_wrong_det_u(eta_kind, monkeypatch):
+    # rho carrying det U = 1 + gamma twice.  A wrong det_u property would
+    # not show in D: it scales rho and divides the z-rule's weights alike
+    # (the normalization gate sees it).
+    rho = AnisotropicKernel._rho
+    monkeypatch.setattr(AnisotropicKernel, "_rho",
+                        lambda self, e, z: rho(self, e, z) * self.det_u)
+    assert d0_relative_error("B", 10.0, eta_kind, 32) > D0_REL_TOL[32, 10.0, eta_kind]
 
 
 def test_discrepancy_scales_linearly_in_epsilon():
@@ -606,38 +659,30 @@ def test_i_eps_fd_zero_at_t0():
     c = get_field("C")
     fm = ExactFlowMap(c)
     cfg = fn.FunctionalConfig(epsilon=0.05, n_x=64, n_z=64, dt_fd=1e-3)
-    val = fn.I_eps_fd(fm, fm, c, kernel_c(0.0), cfg, 0.0)
-    assert abs(val) < 1e-4
+    dt = cfg.dt_fd
+    d = fn.pair_integrals_multi(fm, fm, c, kernel_c(0.0), cfg, [-dt, dt])
+    assert abs((d[dt]["D"] - d[-dt]["D"]) / (2.0 * dt)) < 1e-4
 
 
 def test_i1_zero_for_constant_direction():
     c = get_field("C")
     fm = ExactFlowMap(c)
     cfg = fn.FunctionalConfig(epsilon=0.05, n_x=24, n_z=24)
-    assert fn.I1(fm, fm, c, kernel_c(3.0), cfg, 0.2) == 0.0
+    assert fn.pair_integrals_multi(fm, fm, c, kernel_c(3.0), cfg, [0.2],
+                                   ("I1",))[0.2]["I1"] == 0.0
 
 
-def test_i2_equals_i2a_for_smooth_field():
-    # (b(x+eps z) - b(x))/eps = int_0^1 Db(x + theta eps z) z dtheta holds
-    # exactly for smooth fields, so I2 and its theta-averaged form agree
-    # to theta-quadrature accuracy
-    b = get_field("B")
-    fm = ExactFlowMap(b)
-    cfg = fn.FunctionalConfig(epsilon=0.05, n_x=32, n_z=32)
-    parts = fn.pair_integrals(fm, fm, b, kernel_c(0.0), cfg, 0.3,
-                              want=("I2", "I2a"))
-    assert abs(parts["I2"] - parts["I2a"]) < 1e-6
-
-
-def test_i2_bounded_by_singular_majorant_field_c():
-    c = get_field("C")
-    fm = ExactFlowMap(c)
+@pytest.mark.parametrize("fid", ["C", "D"])
+def test_i2_bounded_by_singular_majorant(fid):
+    # every piece of a strip field is constant, so I2 is all singular
+    # part; measured |I2| / bound: 0.0092 on C and 0.0050-0.0051 on D
+    fld = get_field(fid)
+    fm = ExactFlowMap(fld)
+    cfg = fn.FunctionalConfig(epsilon=0.05, n_x=32, n_z=48)
     for gamma in (0.0, 9.0):
-        cfg = fn.FunctionalConfig(epsilon=0.05, n_x=32, n_z=48)
-        parts = fn.pair_integrals(fm, fm, c, kernel_c(gamma), cfg, 0.3,
-                                  want=("I2", "I2a"))
-        bound = fn.singular_bound(c, kernel_c(gamma))
-        assert abs(parts["I2"] - parts["I2a"]) <= bound + 1e-9
+        kern = AnisotropicKernel(poly_bump, DirectionField.constant(fld.strip_normal), gamma)
+        i2 = fn.pair_integrals_multi(fm, fm, fld, kern, cfg, [0.3], ("I2",))[0.3]["I2"]
+        assert abs(i2) <= fn.singular_bound(fld, kern)
 
 
 def test_i2_limit_for_smooth_field():
@@ -649,7 +694,7 @@ def test_i2_limit_for_smooth_field():
     shifted = ShiftedMap(fm, (0.22, 0.0))
     t = 0.3
     cfg = fn.FunctionalConfig(epsilon=0.01, n_x=128, n_z=48)
-    i2 = fn.I2(fm, shifted, b, kernel_c(0.0), cfg, t)
+    i2 = fn.pair_integrals_multi(fm, shifted, b, kernel_c(0.0), cfg, [t], ("I2",))[t]["I2"]
     pts, wts = volume_quadrature(b, 256)
     dist = torus_distance(fm.position(t, pts), shifted.position(t, pts))
     mu1 = fm.density(t, pts)
@@ -885,7 +930,11 @@ def test_discrepancy_report_row_equals_separate_routes(fid, eta, gamma):
     t = 0.3
     row = fn.discrepancy_report(fx, fy, fld, kern, cfg, t)
 
-    parts = fn.pair_integrals(fx, fy, fld, kern, cfg, t, want=("D", "I1", "I2"))
+    parts = fn.pair_integrals_multi(fx, fy, fld, kern, cfg, [t], ("D", "I1", "I2"))[t]
+    # the central difference from its own sweep: D at a time does not
+    # depend on which other times share the sweep
+    dt = cfg.dt_fd
+    d_fd = fn.pair_integrals_multi(fx, fy, fld, kern, cfg, [t - dt, t + dt])
     pts, wts = volume_quadrature(fld, cfg.n_x)
     mu1, mu2 = fx.density(t, pts), fy.density(t, pts)
     dist = torus_distance(fx.position(t, pts), fy.position(t, pts))
@@ -894,7 +943,7 @@ def test_discrepancy_report_row_equals_separate_routes(fid, eta, gamma):
     assert row.D == parts["D"]
     assert row.I1 == parts["I1"]
     assert row.I2 == parts["I2"]
-    assert row.I_eps_fd == fn.I_eps_fd(fx, fy, fld, kern, cfg, t)
+    assert row.I_eps_fd == (d_fd[t + dt]["D"] - d_fd[t - dt]["D"]) / (2.0 * dt)
     assert row.I2_a_limit == div_term
     assert row.eqfin_residual == fn.eqfin_residual(fx, fy, fld, t, n_x=cfg.n_x,
                                                    dt=cfg.dt_fd)
